@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import KNOWN_KEYS, build_run_config, merged
-from .engine import bits_to_seconds, derived_constants, metrics_csv, run, summary_json
+from .engine import RunResult, bits_to_seconds, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
 from .presets import PRESETS, preset
 from .verify import SUITES, run_suites
@@ -70,22 +70,28 @@ def _assemble(args, extras: list[str]) -> dict:
     layers.append(_parse_overrides(extras))
     flat = merged(*layers)
     if "seed" not in {k for layer in layers for k in layer} and os.environ.get("SQUARM_SEED"):
-        flat["seed"] = int(os.environ["SQUARM_SEED"])
+        flat["seed"] = _parse_value(os.environ["SQUARM_SEED"])
     return flat
 
 
-def _execute(flat: dict, out_dir: str) -> int:
+def _run(flat: dict, label: str = "") -> tuple[RunResult, bool]:
+    """(result, diverged) of one run; a divergent run yields its partial result."""
     cfg, warnings = build_run_config(flat)
     for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        print(f"warning{label}: {w}", file=sys.stderr)
     try:
-        result = run(cfg)
+        return run(cfg), False
     except DivergenceError as exc:
-        print(f"run diverged: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            _write_outputs(exc.partial, out_dir)
-        return FAIL_EXIT
+        print(f"run diverged{label}: {exc}", file=sys.stderr)
+        return exc.partial, True
+
+
+def _execute(flat: dict, out_dir: str) -> int:
+    result, diverged = _run(flat)
     _write_outputs(result, out_dir)
+    if diverged:
+        return FAIL_EXIT
+    cfg = result.config
     last = result.rows[-1]
     derived = derived_constants(cfg)
     print(f"final t={last.t} loss={last.loss:.6g} consensus={last.consensus:.6g}")
@@ -139,19 +145,20 @@ def cmd_sweep(args, extras) -> int:
         "H": "H",
         "k": "compressor.k",
     }[args.axis]
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise SquarmError("sweep needs a non-empty comma-separated --values list")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["value,t,loss,grad_norm_sq,consensus,bits_cum,messages,triggers"]
+    code = 0
     for value in values:
         point = dict(flat)
-        point[axis_key] = value
-        cfg, warnings = build_run_config(point)
-        for w in warnings:
-            print(f"warning ({args.axis}={value}): {w}", file=sys.stderr)
-        result = run(cfg)
+        point[axis_key] = _parse_value(value)
+        result, diverged = _run(point, f" ({args.axis}={value})")
+        if diverged:  # keep the points finished so far
+            code = FAIL_EXIT
+            break
         last = result.rows[-1]
         lines.append(
             f"{value},{last.t},{last.loss!r},{last.grad_norm_sq!r},"
@@ -159,7 +166,7 @@ def cmd_sweep(args, extras) -> int:
         )
         print(f"{args.axis}={value}: loss={last.loss:.6g} bits={last.bits_cum}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    return code
 
 
 def cmd_presets(args, extras) -> int:

@@ -2,10 +2,13 @@
 
 Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
-Unknown keys are rejected with a message naming the key.
+Unknown keys are rejected with a message naming the key, and so are values
+that do not fit a key's declared type (TYPES).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,6 +76,47 @@ _OPTIONAL = {
 
 KNOWN_KEYS = set(DEFAULTS) | _OPTIONAL
 
+# declared type of every numeric or boolean key; the others hold strings
+# (kinds, modes, paths) or the custom topology's lists
+TYPES: dict[str, type] = {
+    "topology.n": int,
+    "topology.self_weight": float,
+    "objective.d": int,
+    "objective.noise_sigma": float,
+    "objective.mu": float,
+    "objective.L": float,
+    "objective.hetero_scale": float,
+    "objective.samples_per_node": int,
+    "objective.batch_size": int,
+    "objective.alpha": float,
+    "objective.l2_reg": float,
+    "compressor.k": int,
+    "compressor.k_frac": float,
+    "compressor.s": int,
+    "compressor.value_bits": int,
+    "lr.eta": float,
+    "lr.b": float,
+    "lr.a": float,
+    "lr.mu": float,
+    "gamma.value": float,
+    "gamma.omega": float,
+    "threshold.c0": float,
+    "threshold.epsilon": float,
+    "threshold.init": float,
+    "threshold.step": float,
+    "threshold.period": int,
+    "H": int,
+    "T": int,
+    "beta": float,
+    "seed": int,
+    "eval_every": int,
+    "grad_clip": float,
+    "x0_scale": float,
+    "diagnostics": bool,
+    "parallel": bool,
+    "trace": bool,
+}
+
 
 def merged(*layers: dict) -> dict:
     """Apply config layers left to right (later layers win) over defaults."""
@@ -85,6 +129,31 @@ def merged(*layers: dict) -> dict:
     return out
 
 
+def _coerce(key: str, value):
+    """value as key's declared type; a ConfigError naming the key if it is not one.
+
+    Integers accept integral floats and digit strings, floats must be
+    finite, booleans accept true/false and 1/0. None (unset) is kept for
+    keys without a default."""
+    kind = TYPES.get(key)
+    if kind is None or (value is None and key not in DEFAULTS):
+        return value
+    expected = f"{key}: expected {'a finite number' if kind is float else kind.__name__}, got {value!r}"
+    if kind is bool:
+        if value in (0, 1) and not isinstance(value, str):
+            return bool(value)
+        raise ConfigError(expected)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(expected)
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(expected) from None
+    if not math.isfinite(out):
+        raise ConfigError(expected)
+    return out
+
+
 def _require(flat: dict, key: str):
     if key not in flat or flat[key] is None:
         raise ConfigError(f"missing config key {key!r}")
@@ -93,9 +162,9 @@ def _require(flat: dict, key: str):
 
 def _build_topology(flat: dict) -> MixingMatrix:
     kind = flat["topology.kind"]
-    n = int(flat["topology.n"])
+    n = flat["topology.n"]
     if kind == "ring":
-        return build_ring(n, float(flat["topology.self_weight"]))
+        return build_ring(n, flat["topology.self_weight"])
     if kind == "complete":
         return build_complete(n)
     if kind == "custom":
@@ -111,17 +180,17 @@ def _build_topology(flat: dict) -> MixingMatrix:
 
 def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet:
     kind = flat["objective.kind"]
-    n = int(flat["topology.n"])
-    d = int(flat["objective.d"])
+    n = flat["topology.n"]
+    d = flat["objective.d"]
     if kind == "quadratic":
         return obj_ops.quadratic_objective(
             n,
             d,
             rng,
-            mu=float(flat["objective.mu"]),
-            L=float(flat["objective.L"]),
-            noise_sigma=float(flat["objective.noise_sigma"]),
-            hetero_scale=float(flat["objective.hetero_scale"]),
+            mu=flat["objective.mu"],
+            L=flat["objective.L"],
+            noise_sigma=flat["objective.noise_sigma"],
+            hetero_scale=flat["objective.hetero_scale"],
         )
     if kind in ("least_squares", "least_squares_nonconvex", "logistic_l2"):
         path = flat.get("objective.dataset_path")
@@ -134,26 +203,26 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
                 kind,
                 shards_x,
                 shards_y,
-                batch_size=int(flat["objective.batch_size"]),
-                alpha=float(flat["objective.alpha"]),
-                l2_reg=float(flat["objective.l2_reg"]),
+                batch_size=flat["objective.batch_size"],
+                alpha=flat["objective.alpha"],
+                l2_reg=flat["objective.l2_reg"],
             )
         if kind == "logistic_l2":
             return obj_ops.logistic_objective(
                 n,
                 d,
-                int(flat["objective.samples_per_node"]),
+                flat["objective.samples_per_node"],
                 rng,
-                l2_reg=float(flat["objective.l2_reg"]),
-                batch_size=int(flat["objective.batch_size"]),
+                l2_reg=flat["objective.l2_reg"],
+                batch_size=flat["objective.batch_size"],
             )
         return obj_ops.least_squares_objective(
             n,
             d,
-            int(flat["objective.samples_per_node"]),
+            flat["objective.samples_per_node"],
             rng,
-            batch_size=int(flat["objective.batch_size"]),
-            alpha=float(flat["objective.alpha"]),
+            batch_size=flat["objective.batch_size"],
+            alpha=flat["objective.alpha"],
             nonconvex=(kind == "least_squares_nonconvex"),
         )
     raise ConfigError(f"unknown objective.kind {kind!r}")
@@ -163,16 +232,15 @@ def _build_compressor(flat: dict, d: int) -> CompressorSpec:
     kind = flat["compressor.kind"]
     k = flat.get("compressor.k")
     if k is None and flat.get("compressor.k_frac") is not None:
-        k = max(1, round(float(flat["compressor.k_frac"]) * d))
-    if k is not None and int(k) > d:
+        k = max(1, round(flat["compressor.k_frac"] * d))
+    if k is not None and k > d:
         raise ConfigError(f"compressor.k: k={k} exceeds dimension d={d}")
-    s = flat.get("compressor.s")
     try:
         return CompressorSpec(
             kind=kind,
-            k=int(k) if k is not None else None,
-            s=int(s) if s is not None else None,
-            value_bits=int(flat["compressor.value_bits"]),
+            k=k,
+            s=flat.get("compressor.s"),
+            value_bits=flat["compressor.value_bits"],
         )
     except SquarmError as exc:
         raise ConfigError(f"compressor.kind: {exc}") from exc
@@ -181,7 +249,7 @@ def _build_compressor(flat: dict, d: int) -> CompressorSpec:
 def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int) -> float:
     kind = flat["gamma.kind"]
     if kind == "explicit":
-        return float(_require(flat, "gamma.value"))
+        return _require(flat, "gamma.value")
     omega = flat.get("gamma.omega")
     if omega is None:
         omega = omega_of(comp, d)
@@ -191,9 +259,9 @@ def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int)
             "explicitly or use gamma.kind=explicit"
         )
     if kind == "auto_relaxed":
-        return sched.gamma_relaxed(topo.delta, float(omega), topo.lambda_dev)
+        return sched.gamma_relaxed(topo.delta, omega, topo.lambda_dev)
     if kind == "auto_strong":
-        return sched.gamma_strong(topo.delta, float(omega), topo.lambda_dev)
+        return sched.gamma_strong(topo.delta, omega, topo.lambda_dev)
     raise ConfigError(f"unknown gamma.kind {kind!r}")
 
 
@@ -205,10 +273,10 @@ def _resolve_lr(
     warnings: list[str],
 ) -> sched.LrSchedule:
     kind = flat["lr.kind"]
-    beta = float(flat["beta"])
-    n, T, H = int(flat["topology.n"]), int(flat["T"]), int(flat["H"])
+    beta = flat["beta"]
+    n, T, H = flat["topology.n"], flat["T"], flat["H"]
     if kind == "constant":
-        return sched.LrSchedule(kind="constant", eta=float(_require(flat, "lr.eta")), beta=beta)
+        return sched.LrSchedule(kind="constant", eta=_require(flat, "lr.eta"), beta=beta)
     if kind == "auto_constant":
         eta = sched.constant_lr(n, T, beta)
         min_T = sched.min_T_nonconvex(obj.L, n, beta)
@@ -218,19 +286,19 @@ def _resolve_lr(
     if kind == "decaying":
         return sched.LrSchedule(
             kind="decaying",
-            b=float(_require(flat, "lr.b")),
-            a=float(_require(flat, "lr.a")),
+            b=_require(flat, "lr.b"),
+            a=_require(flat, "lr.a"),
             beta=beta,
         )
     if kind == "auto_decaying":
         mu = flat.get("lr.mu")
-        mu = float(mu) if mu is not None else obj.mu
+        mu = mu if mu is not None else obj.mu
         if mu <= 0:
             raise ConfigError("lr.mu: decaying schedule needs mu > 0")
         p = sched.p_of(gamma, topo.delta)
         a_min = sched.min_a_strongly_convex(H, p, obj.L, mu, beta)
         a = flat.get("lr.a")
-        a = float(a) if a is not None else a_min
+        a = a if a is not None else a_min
         if a < a_min:
             warnings.append(f"lr.a={a:.1f} below the admissibility minimum {a_min:.1f}")
         return sched.decaying_schedule(mu, beta, a)
@@ -244,30 +312,30 @@ def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
     if kind in ("poly", "const_eta"):
         return sched.ThresholdSchedule(
             kind=kind,
-            c0=float(_require(flat, "threshold.c0")),
-            epsilon=float(_require(flat, "threshold.epsilon")),
+            c0=_require(flat, "threshold.c0"),
+            epsilon=_require(flat, "threshold.epsilon"),
         )
     if kind == "piecewise":
         return sched.ThresholdSchedule(
             kind=kind,
-            init=float(_require(flat, "threshold.init")),
-            step=float(_require(flat, "threshold.step")),
-            period=int(_require(flat, "threshold.period")),
+            init=_require(flat, "threshold.init"),
+            step=_require(flat, "threshold.step"),
+            period=_require(flat, "threshold.period"),
         )
     raise ConfigError(f"unknown threshold.kind {kind!r}")
 
 
 def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     """Resolve a merged flat config into a RunConfig plus non-fatal warnings."""
+    raw = flat
+    flat = {key: _coerce(key, value) for key, value in flat.items()}
     warnings: list[str] = []
-    if int(flat["T"]) < 1:
+    if flat["T"] < 1:
         raise ConfigError("T: must be >= 1")
-    if int(flat["H"]) < 1:
+    if flat["H"] < 1:
         raise ConfigError("H: must be >= 1")
-    seed = int(flat["seed"])
-    n = int(flat["topology.n"])
     topo = _build_topology(flat)
-    data_rng, _, _ = seed_streams(seed, n)
+    data_rng, _, _ = seed_streams(flat["seed"], flat["topology.n"])
     obj = _build_objective(flat, data_rng)
     comp = _build_compressor(flat, obj.d)
     gamma = _resolve_gamma(flat, topo, comp, obj.d)
@@ -277,7 +345,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
         raise ConfigError("threshold.epsilon: poly thresholds need epsilon > 0")
     if lr.kind == "decaying":
         p = gamma * topo.delta / 8.0
-        if lr.a < 5 * int(flat["H"]) / p:
+        if lr.a < 5 * flat["H"] / p:
             warnings.append(
                 "lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail"
             )
@@ -288,18 +356,18 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
         lr=lr,
         threshold=threshold,
         gamma=gamma,
-        H=int(flat["H"]),
-        T=int(flat["T"]),
-        beta=float(flat["beta"]),
-        seed=seed,
+        H=flat["H"],
+        T=flat["T"],
+        beta=flat["beta"],
+        seed=flat["seed"],
         variant=flat["variant"],
         accounting=flat["accounting"],
-        eval_every=int(flat["eval_every"]) if flat.get("eval_every") else None,
-        diagnostics=bool(flat["diagnostics"]),
-        parallel=bool(flat["parallel"]),
-        grad_clip=float(flat["grad_clip"]) if flat.get("grad_clip") is not None else None,
-        x0_scale=float(flat["x0_scale"]),
-        trace=bool(flat.get("trace", False)),
-        raw={k: flat[k] for k in sorted(flat)},
+        eval_every=flat.get("eval_every") or None,
+        diagnostics=flat["diagnostics"],
+        parallel=flat["parallel"],
+        grad_clip=flat.get("grad_clip"),
+        x0_scale=flat["x0_scale"],
+        trace=bool(flat.get("trace")),
+        raw={k: raw[k] for k in sorted(raw)},
     )
     return cfg, warnings

@@ -23,9 +23,21 @@ plus two protocol facts: every non-triggering node's copy drift is within
 its threshold, and with clipped gradients the momentum norm stays below
 G/(1-beta).
 
+Node state lives in (n, d) arrays (see squarm.node). What is per node in
+the algorithm stays one call per node, in node order: the stochastic
+gradient, the local step, the trigger test and encoding, each drawing from
+the node's own random stream. Delivery of the round's messages and the
+gossip correction are one call each per synchronization round, and the
+averages, norms and distances behind the metrics and diagnostics are array
+reductions.
+
 Everything is deterministic given the seed: each node owns a private random
 stream, the node-local phase may run in a thread pool, and messages are
 always applied in fixed node order.
+
+A run diverges when the parameters stop being finite, which is checked
+after every local phase, or when a metrics row's loss does; it then raises
+DivergenceError carrying the rows so far plus one for the failing step.
 """
 
 from __future__ import annotations
@@ -122,13 +134,6 @@ class RunResult:
     trace: list[np.ndarray] | None = None
 
 
-def sync_indices(T: int, H: int) -> list[int]:
-    """The synchronization index set {0, H, 2H, ...} below T."""
-    if H < 1:
-        raise ParameterError("H must be >= 1")
-    return list(range(0, T, H))
-
-
 def bits_to_seconds(bits: float, link_rate_bps: float) -> float:
     """Transmission time of a bit total through a rate-limited link."""
     if link_rate_bps <= 0:
@@ -183,8 +188,9 @@ def run(cfg: RunConfig) -> RunResult:
     out_degree = [len(W.neighbors(i)) for i in range(n)]
 
     _, x0_rng, node_rngs = seed_streams(cfg.seed, n)
-    x0 = initial_positions(x0_rng, n, d, cfg.x0_scale)
-    nodes = [node_ops.make_node(i, x0[i], W.neighbors(i), cfg.variant) for i in range(n)]
+    state = node_ops.make_state(initial_positions(x0_rng, n, d, cfg.x0_scale), cfg.variant)
+    X, V = state.X, state.V
+    G = np.zeros((n, d))  # this step's stochastic gradients, row per node
 
     eval_every = cfg.eval_every if cfg.eval_every else max(1, cfg.T // 200)
     constant_lr = cfg.lr.kind == "constant"
@@ -204,59 +210,90 @@ def run(cfg: RunConfig) -> RunResult:
     x_tilde = None
     vres_since_eval = 0.0
 
-    def x_bar_now() -> np.ndarray:
-        acc = np.zeros(d)
-        for st in nodes:
-            acc += st.x
-        return acc / n
-
-    def local_phase(args):
-        st, rng, eta = args
-        g = obj_ops.stochastic_grad(obj, st.index, st.x, rng)
+    def local_phase(i: int, eta: float) -> None:
+        g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i])
         if cfg.grad_clip is not None:
             g = obj_ops.clip_to_norm(g, cfg.grad_clip)
-        node_ops.local_step(st, g, eta, cfg.beta)
-        return g
+        node_ops.local_step(state, i, g, eta, cfg.beta)
+        G[i] = g
+
+    def metrics_row(t: int) -> MetricsRow:
+        nonlocal vres_since_eval
+        xb = X.mean(axis=0)
+        grad = obj_ops.full_grad_global(obj, xb)
+        dev = X - xb
+        row = MetricsRow(
+            t=t,
+            loss=obj_ops.loss(obj, xb),
+            grad_norm_sq=float(grad @ grad),
+            consensus=float(np.vdot(dev, dev)),
+            bits_cum=bits_cum,
+            messages=messages,
+            triggers=triggers,
+            virtual_residual=vres_since_eval if cfg.diagnostics and constant_lr else None,
+            weighted_avg_loss=(
+                obj_ops.loss(obj, wavg_acc / wavg_sum) if decaying and wavg_sum > 0 else None
+            ),
+        )
+        vres_since_eval = 0.0
+        return row
+
+    def result(kept: list[MetricsRow]) -> RunResult:
+        return RunResult(
+            rows=kept,
+            x_bar=X.mean(axis=0),
+            x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
+            total_bits=bits_cum,
+            config=cfg,
+            diagnostics=diag,
+            trace=trace,
+        )
+
+    def diverged(row: MetricsRow, why: str) -> DivergenceError:
+        return DivergenceError(f"{why} at t={row.t}", partial=result(rows + [row]))
 
     executor = ThreadPoolExecutor(max_workers=min(n, 8)) if cfg.parallel else None
-    try:
-        for t in range(cfg.T):
-            eta = eta_at(cfg.lr, t)
+    # overflow on the way to a divergence is detected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t in range(cfg.T):
+                eta = eta_at(cfg.lr, t)
 
-            if decaying:
-                w_t = weighted_avg_weight(cfg.lr.a, t)
-                wavg_acc += w_t * x_bar_now()
-                wavg_sum += w_t
+                if decaying:
+                    w_t = weighted_avg_weight(cfg.lr.a, t)
+                    wavg_acc += w_t * X.mean(axis=0)
+                    wavg_sum += w_t
 
-            if cfg.diagnostics and constant_lr and x_tilde is None:
-                x_tilde = x_bar_now()  # v^{-1} = 0, so xt^0 = xbar^0
+                if cfg.diagnostics and constant_lr and x_tilde is None:
+                    x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
 
-            work = [(nodes[i], node_rngs[i], eta) for i in range(n)]
-            if executor is not None:
-                grads = list(executor.map(local_phase, work))
-            else:
-                grads = [local_phase(item) for item in work]
+                if executor is not None:
+                    list(executor.map(local_phase, range(n), [eta] * n))
+                else:
+                    for i in range(n):
+                        local_phase(i, eta)
+                # a non-finite gradient entry makes its row of X non-finite too
+                if not np.isfinite(X).all():
+                    raise diverged(metrics_row(t), "parameters diverged")
 
-            if cfg.diagnostics:
-                for st in nodes:
+                if cfg.diagnostics:
                     diag.max_momentum_norm = max(
-                        diag.max_momentum_norm, float(np.linalg.norm(st.v))
+                        diag.max_momentum_norm, float(np.linalg.norm(V, axis=1).max())
                     )
 
-            if (t + 1) % cfg.H == 0:
-                c_t = threshold_at(cfg.threshold, t, eta)
-                fired = [node_ops.should_trigger(st, c_t, eta) for st in nodes]
-                if cfg.diagnostics and not np.isinf(c_t):
-                    for st, f in zip(nodes, fired):
-                        if not f:
-                            drift = st.x - st.hat_self
-                            if float(drift @ drift) > c_t * eta * eta:
-                                diag.trigger_violations += 1
-                payloads: dict[int, np.ndarray] = {}
-                for i in range(n):
-                    if fired[i]:
-                        msg = node_ops.encode_update(nodes[i], cfg.compressor, node_rngs[i])
-                        payloads[i] = decode(msg)
+                if (t + 1) % cfg.H == 0:
+                    c_t = threshold_at(cfg.threshold, t, eta)
+                    fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
+                    if cfg.diagnostics and not np.isinf(c_t):
+                        drift = X - state.Hat
+                        silent = np.ones(n, dtype=bool)
+                        silent[fired] = False
+                        over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
+                        diag.trigger_violations += int(np.count_nonzero(over))
+                    Q = np.empty((len(fired), d))
+                    for k, i in enumerate(fired):
+                        msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
+                        Q[k] = decode(msg)
                         cost = bit_cost(cfg.compressor, d, msg)
                         if cfg.accounting == "broadcast":
                             bits_cum += cost
@@ -264,88 +301,37 @@ def run(cfg: RunConfig) -> RunResult:
                         else:
                             bits_cum += cost * out_degree[i]
                             messages += out_degree[i]
-                        triggers += 1
-                for sender in range(n):
-                    if sender in payloads:
-                        q = payloads[sender]
-                        node_ops.apply_incoming(nodes[sender], sender, q, W.w[sender])
-                        for j in W.neighbors(sender):
-                            node_ops.apply_incoming(nodes[j], sender, q, W.w[j])
-                x_bar_half = x_bar_now() if cfg.diagnostics else None
-                for st in nodes:
-                    node_ops.consensus_step(st, cfg.gamma, W.w[st.index])
-                if cfg.diagnostics:
-                    diag.sync_rounds += 1
-                    diag.max_mean_dev = max(
-                        diag.max_mean_dev,
-                        mean_preservation_check(x_bar_half, x_bar_now()),
+                    triggers += len(fired)
+                    node_ops.apply_incoming(state, fired, Q, W.w)
+                    x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
+                    node_ops.consensus_step(state, cfg.gamma, W.w)
+                    if cfg.diagnostics:
+                        diag.sync_rounds += 1
+                        diag.max_mean_dev = max(
+                            diag.max_mean_dev,
+                            mean_preservation_check(x_bar_half, X.mean(axis=0)),
+                        )
+
+                if cfg.diagnostics and constant_lr:
+                    defect, x_tilde = virtual_residual(
+                        x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
                     )
+                    diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
+                    vres_since_eval = max(vres_since_eval, defect)
 
-            if cfg.diagnostics and constant_lr:
-                g_bar = np.zeros(d)
-                for g in grads:
-                    g_bar += g
-                g_bar /= n
-                v_bar = np.zeros(d)
-                for st in nodes:
-                    v_bar += st.v
-                v_bar /= n
-                defect, x_tilde = virtual_residual(
-                    x_tilde, x_bar_now(), v_bar, g_bar, eta, cfg.beta
-                )
-                diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
-                vres_since_eval = max(vres_since_eval, defect)
+                if trace is not None:
+                    trace.append(X.copy())
 
-            if trace is not None:
-                trace.append(np.stack([st.x for st in nodes]))
+                if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
+                    row = metrics_row(t)
+                    if not np.isfinite(row.loss):
+                        raise diverged(row, "loss diverged")
+                    rows.append(row)
+        finally:
+            if executor is not None:
+                executor.shutdown(wait=True)
 
-            if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
-                xb = x_bar_now()
-                f_val = obj_ops.loss(obj, xb)
-                grad = obj_ops.full_grad_global(obj, xb)
-                consensus = sum(float((st.x - xb) @ (st.x - xb)) for st in nodes)
-                wavg_loss = None
-                if decaying and wavg_sum > 0:
-                    wavg_loss = obj_ops.loss(obj, wavg_acc / wavg_sum)
-                row = MetricsRow(
-                    t=t,
-                    loss=f_val,
-                    grad_norm_sq=float(grad @ grad),
-                    consensus=consensus,
-                    bits_cum=bits_cum,
-                    messages=messages,
-                    triggers=triggers,
-                    virtual_residual=(
-                        vres_since_eval if cfg.diagnostics and constant_lr else None
-                    ),
-                    weighted_avg_loss=wavg_loss,
-                )
-                vres_since_eval = 0.0
-                if not np.isfinite(f_val):
-                    partial = RunResult(
-                        rows=rows + [row],
-                        x_bar=xb,
-                        x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
-                        total_bits=bits_cum,
-                        config=cfg,
-                        diagnostics=diag,
-                        trace=trace,
-                    )
-                    raise DivergenceError(f"loss diverged at t={t}", partial=partial)
-                rows.append(row)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    return RunResult(
-        rows=rows,
-        x_bar=x_bar_now(),
-        x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
-        total_bits=bits_cum,
-        config=cfg,
-        diagnostics=diag,
-        trace=trace,
-    )
+    return result(rows)
 
 
 # ---------------------------------------------------------------------------

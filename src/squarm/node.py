@@ -1,16 +1,28 @@
-"""Per-node state and the four state transitions of one worker.
+"""Node state of the whole graph as (n, d) arrays, and its transitions.
 
-Each node holds parameters x, a momentum buffer v, and its public copy
-hat_self (the stale, compressed view of x that all neighbors hold
-identically). Bookkeeping of the neighbors' public copies comes in two
-variants:
+Row i of each array belongs to node i:
 
-  full_copy      an explicit table copies[j] per neighbor j
-  mem_efficient  a single weighted-sum accumulator
-                 s = sum_{j in N_i + {i}} w_ij * hat_x_j
+  X    parameters x_i
+  V    momentum buffers v_i
+  Hat  public copies hat_x_i, the stale, compressed view of x_i
+  S    memory-efficient variant only: the weighted copy sums
+       s_i = sum_{j in N_i + {i}} w_ij hat_x_j, accumulated as messages arrive
 
-Both variants produce the same trajectories: since the weight row sums to
-one, s - hat_self = sum_j w_ij (hat_x_j - hat_self).
+Every neighbor of node j applies the same decoded updates to its copy of j
+in the same order as j does to its own, so all those copies are bitwise
+equal to Hat[j]; one row per node holds them all. The gossip correction
+comes in two variants that produce the same trajectories:
+
+  full_copy      x_i += gamma sum_j w_ij (hat_x_j - hat_x_i), for all nodes
+                 at once as X += gamma (W Hat - Hat)
+  mem_efficient  x_i += gamma (s_i - hat_x_i)
+
+since each weight row sums to one, s_i - hat_x_i = sum_j w_ij (hat_x_j - hat_x_i).
+
+The local step, the trigger test and encoding are per node in the
+algorithm (each acts on its own row and draws from the node's own random
+stream), so they take a node index. Delivery and consensus act on the
+whole graph, once per synchronization round.
 
 The local step uses the updated momentum buffer (v <- beta v + g, then
 x <- x - eta (beta v + g)); some momentum conventions use the stale buffer
@@ -21,98 +33,72 @@ threshold still suppresses exact-zero differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compress import CompressedMessage, CompressorSpec, compress
-from .errors import DomainError, TopologyError
 
 
 @dataclass
 class NodeState:
-    index: int
-    x: np.ndarray
-    v: np.ndarray
-    hat_self: np.ndarray
-    copies: dict[int, np.ndarray] | None = None  # full_copy variant
-    s: np.ndarray | None = None  # mem_efficient variant
-    neighbors: tuple[int, ...] = field(default=())
+    X: np.ndarray
+    V: np.ndarray
+    Hat: np.ndarray
+    S: np.ndarray | None = None  # mem_efficient variant
 
 
-def make_node(index: int, x0: np.ndarray, neighbors: tuple[int, ...], variant: str) -> NodeState:
-    """Fresh node with x = x0 and all communication state zeroed."""
-    d = x0.shape[0]
+def make_state(x0: np.ndarray, variant: str) -> NodeState:
+    """Fresh state with X = x0 (one row per node) and all communication state zeroed."""
+    X = np.array(x0, dtype=float, copy=True)
     if variant == "full_copy":
-        return NodeState(
-            index=index,
-            x=np.array(x0, dtype=float, copy=True),
-            v=np.zeros(d),
-            hat_self=np.zeros(d),
-            copies={j: np.zeros(d) for j in neighbors},
-            neighbors=tuple(neighbors),
-        )
+        return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X))
     if variant == "mem_efficient":
-        return NodeState(
-            index=index,
-            x=np.array(x0, dtype=float, copy=True),
-            v=np.zeros(d),
-            hat_self=np.zeros(d),
-            s=np.zeros(d),
-            neighbors=tuple(neighbors),
-        )
+        return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X), S=np.zeros_like(X))
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def local_step(state: NodeState, g: np.ndarray, eta: float, beta: float) -> None:
-    """Momentum SGD step: v <- beta v + g; x <- x - eta (beta v_new + g)."""
-    if not np.isfinite(g).all():
-        raise DomainError("gradient has non-finite entries")
-    state.v = beta * state.v + g
-    state.x = state.x - eta * (beta * state.v + g)
+def local_step(state: NodeState, i: int, g: np.ndarray, eta: float, beta: float) -> None:
+    """Momentum SGD step of node i, in place: v <- beta v + g; x <- x - eta (beta v_new + g)."""
+    v = state.V[i]
+    v *= beta
+    v += g
+    state.X[i] -= eta * (beta * v + g)
 
 
-def should_trigger(state: NodeState, c_t: float, eta: float) -> bool:
-    """True iff the copy drift ||x - hat_self||^2 strictly exceeds c_t eta^2."""
+def should_trigger(state: NodeState, i: int, c_t: float, eta: float) -> bool:
+    """True iff node i's copy drift ||x_i - hat_x_i||^2 strictly exceeds c_t eta^2."""
     if math.isinf(c_t):
         return False
-    diff = state.x - state.hat_self
+    diff = state.X[i] - state.Hat[i]
     return float(diff @ diff) > c_t * eta * eta
 
 
-def encode_update(state: NodeState, spec: CompressorSpec, rng: np.random.Generator) -> CompressedMessage:
-    """Compress the change in this node's public copy; state is untouched
+def encode_update(
+    state: NodeState, i: int, spec: CompressorSpec, rng: np.random.Generator
+) -> CompressedMessage:
+    """Compress the change in node i's public copy; state is untouched
     (the copy itself advances when the message is applied)."""
-    return compress(spec, state.x - state.hat_self, rng)
+    return compress(spec, state.X[i] - state.Hat[i], rng)
 
 
-def apply_incoming(state: NodeState, sender: int, q: np.ndarray, w_row: np.ndarray) -> None:
-    """Fold one decoded payload q from `sender` into the copy bookkeeping.
+def apply_incoming(state: NodeState, fired: list[int], Q: np.ndarray, w: np.ndarray) -> None:
+    """Deliver the decoded payload Q[k] of each sender fired[k] (ascending) to
+    every holder of that sender's copy.
 
-    A node applies its own broadcast too (sender == state.index), which keeps
-    hat_self in lockstep with the copy of this node held by every neighbor.
+    The memory-efficient sums take the senders one at a time, in order, so
+    each s_i accumulates its terms in the same order whatever the graph.
     """
-    if state.copies is not None:
-        if sender == state.index:
-            state.hat_self = state.hat_self + q
-        else:
-            if sender not in state.copies:
-                raise TopologyError(f"node {state.index} got message from non-neighbor {sender}")
-            state.copies[sender] = state.copies[sender] + q
-    else:
-        if sender != state.index and sender not in state.neighbors:
-            raise TopologyError(f"node {state.index} got message from non-neighbor {sender}")
-        state.s = state.s + w_row[sender] * q
-        if sender == state.index:
-            state.hat_self = state.hat_self + q
+    state.Hat[fired] += Q
+    if state.S is not None:
+        for j, q in zip(fired, Q):
+            holders = np.flatnonzero(w[:, j])
+            state.S[holders] += w[holders, j][:, None] * q
 
 
-def consensus_step(state: NodeState, gamma: float, w_row: np.ndarray) -> None:
-    """Gossip correction x += gamma * sum_j w_ij (hat_x_j - hat_self)."""
-    if state.copies is not None:
-        acc = np.zeros_like(state.x)
-        for j, copy in state.copies.items():
-            acc += w_row[j] * (copy - state.hat_self)
-        state.x = state.x + gamma * acc
+def consensus_step(state: NodeState, gamma: float, w: np.ndarray) -> None:
+    """Gossip correction of every node: x_i += gamma sum_j w_ij (hat_x_j - hat_x_i)."""
+    if state.S is None:
+        state.X += gamma * (w @ state.Hat - state.Hat)
     else:
-        state.x = state.x + gamma * (state.s - state.hat_self)
+        state.X += gamma * (state.S - state.Hat)

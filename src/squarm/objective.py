@@ -102,12 +102,20 @@ def local_grad(obj: ObjectiveSet, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def loss(obj: ObjectiveSet, x: np.ndarray) -> float:
-    """Global objective f(x) = (1/n) sum_i f_i(x)."""
+    """Global objective f(x) = (1/n) sum_i f_i(x).
+
+    For the quadratic kind this is 0.5 x^T A x - b_bar^T x + c_bar, one
+    matrix-vector product instead of n."""
+    if obj.kind == "quadratic":
+        return float(0.5 * x @ (obj.quad_a @ x) - obj.quad_b.mean(axis=0) @ x + obj.quad_const.mean())
     return sum(_local_loss(obj, i, x) for i in range(obj.n)) / obj.n
 
 
 def full_grad_global(obj: ObjectiveSet, x: np.ndarray) -> np.ndarray:
-    """Exact (1/n) sum_i grad f_i(x); metrics and checks only."""
+    """Exact (1/n) sum_i grad f_i(x), for the quadratic kind A x - b_bar;
+    metrics and checks only."""
+    if obj.kind == "quadratic":
+        return obj.quad_a @ x - obj.quad_b.mean(axis=0)
     g = np.zeros(obj.d)
     for i in range(obj.n):
         g += local_grad(obj, i, x)

@@ -174,8 +174,3 @@ def build_custom(
         w[j, i] = weight
     w[np.diag_indices(n)] = np.asarray(self_weights, dtype=float)
     return _validate(w)
-
-
-def from_matrix(w: np.ndarray) -> MixingMatrix:
-    """Validate a raw weight matrix supplied directly."""
-    return _validate(w)

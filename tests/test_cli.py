@@ -1,9 +1,15 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from squarm.cli import main
+from squarm.config import DEFAULTS, TYPES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -131,6 +137,33 @@ class TestRun:
         assert summary["config"]["seed"] == 42
 
 
+    def test_divergence_between_eval_rows_writes_partial_outputs(self, tmp_path):
+        # the blow-up happens long before the second metrics row
+        out = tmp_path / "div"
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--lr.kind=constant", "--lr.eta=50",
+             "--T=20000", "--eval_every=5000", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "diverged" in proc.stderr
+        rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+        assert rows[0]["t"] == "0" and 0 < int(rows[-1]["t"]) < 4999
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final"]["t"] == int(rows[-1]["t"])
+
+    def test_bad_values_name_their_key(self, tmp_path, capsys):
+        bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2]}
+        for key, kind in TYPES.items():
+            # null unsets a key, which only keys without a default may be
+            for value in bad[kind] + ([None] if key in DEFAULTS else []):
+                flag = f"--{key}={json.dumps(value)}"
+                assert main(["run", "--out", str(tmp_path), "--T=1", flag]) == 2, flag
+                err = capsys.readouterr().err
+                assert key in err and "Traceback" not in err, (flag, err)
+
+
 class TestVerify:
     def test_spectral_suite_passes(self, capsys):
         assert main(["verify", "--suite", "spectral"]) == 0
@@ -184,6 +217,17 @@ class TestSweep:
             )
             == 2
         )
+
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning escapes the runs
+    def test_divergent_point_exits_1_and_keeps_finished_points(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--axis", "T", "--values", "1,100,3", "--out", str(out)]
+        code = main([*args, "--lr.kind=constant", "--lr.eta=50"])
+        assert code == 1
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [r["value"] for r in rows] == ["1"]
+        assert "run diverged (T=100)" in capsys.readouterr().err
 
 
 class TestPresets:

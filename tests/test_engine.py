@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from oracles import gossip_sgd_trajectory
 from squarm.compress import CompressorSpec
 from squarm.config import build_run_config, merged
@@ -10,12 +11,12 @@ from squarm.engine import (
     metrics_csv,
     run,
     summary_json,
-    sync_indices,
 )
-from squarm.errors import ConfigError, ParameterError
+from squarm.errors import ConfigError, DivergenceError, ParameterError
 from squarm.objective import optimum
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
+from squarm.verify import _identity_configs
 
 
 def quick_config(**overrides):
@@ -35,16 +36,25 @@ def quick_config(**overrides):
     return cfg
 
 
+def sync_steps(T, H):
+    """Iterations t after whose local step a run communicated (every node
+    fires at every round under the always-threshold)."""
+    rows = run(quick_config(T=T, H=H, eval_every=1, **{"threshold.kind": "always"})).rows
+    before = [0] + [r.messages for r in rows]
+    return [r.t for r, m in zip(rows, before) if r.messages > m]
+
+
 class TestSyncIndices:
     def test_examples(self):
-        assert sync_indices(10, 5) == [0, 5]
-        assert sync_indices(7, 3) == [0, 3, 6]
+        assert sync_steps(10, 5) == [4, 9]
+        assert sync_steps(7, 3) == [2, 5]
 
     def test_h1_covers_all(self):
-        assert sync_indices(5, 1) == [0, 1, 2, 3, 4]
+        assert sync_steps(5, 1) == [0, 1, 2, 3, 4]
 
     def test_gap_is_h(self):
-        idx = sync_indices(100, 7)
+        idx = sync_steps(100, 7)
+        assert idx[0] == 6
         assert all(b - a == 7 for a, b in zip(idx, idx[1:]))
 
 
@@ -240,47 +250,64 @@ class TestVariantEquivalence:
 
 class TestBroadcastConsistency:
     def test_copies_identical_across_receivers(self):
+        # the premise of the array state, checked on the per-node reference
+        # with its full table of copies: every receiver's copy of node j is
+        # bitwise j's own public copy, so one row per node holds them all
         cfg = quick_config(
             T=60,
             **{"compressor.kind": "qsgd", "compressor.s": 4, "threshold.kind": "always", "H": 5},
         )
-        # run manually to inspect node state at the end
-        from squarm.engine import seed_streams
-        import squarm.node as node_ops
         from squarm.compress import decode
         from squarm.objective import stochastic_grad
         from squarm.schedule import eta_at, threshold_at
 
         W, obj = cfg.topology, cfg.objective
-        _, x0_rng, node_rngs = seed_streams(cfg.seed, W.n)
-        x0 = cfg.x0_scale * x0_rng.standard_normal((W.n, obj.d))
-        nodes = [node_ops.make_node(i, x0[i], W.neighbors(i), "full_copy") for i in range(W.n)]
+        nodes, node_rngs = ref.make_nodes(cfg, "full_copy")
         hat_shadow = {i: np.zeros(obj.d) for i in range(W.n)}
         for t in range(cfg.T):
             eta = eta_at(cfg.lr, t)
             for i, st in enumerate(nodes):
                 g = stochastic_grad(obj, i, st.x, node_rngs[i])
-                node_ops.local_step(st, g, eta, cfg.beta)
+                ref.local_step(st, g, eta, cfg.beta)
             if (t + 1) % cfg.H == 0:
                 c_t = threshold_at(cfg.threshold, t, eta)
                 payloads = {}
                 for i, st in enumerate(nodes):
-                    if node_ops.should_trigger(st, c_t, eta):
-                        payloads[i] = decode(node_ops.encode_update(st, cfg.compressor, node_rngs[i]))
-                for sender in range(W.n):
-                    if sender in payloads:
-                        q = payloads[sender]
-                        hat_shadow[sender] = hat_shadow[sender] + q
-                        node_ops.apply_incoming(nodes[sender], sender, q, W.w[sender])
-                        for j in W.neighbors(sender):
-                            node_ops.apply_incoming(nodes[j], sender, q, W.w[j])
+                    if ref.should_trigger(st, c_t, eta):
+                        payloads[i] = decode(ref.encode_update(st, cfg.compressor, node_rngs[i]))
+                for sender, q in payloads.items():
+                    hat_shadow[sender] = hat_shadow[sender] + q
+                ref.deliver(nodes, W, payloads)
                 for st in nodes:
-                    node_ops.consensus_step(st, cfg.gamma, W.w[st.index])
+                    ref.consensus_step(st, cfg.gamma, W.w[st.index])
                 # every receiver's copy of j equals j's own hat, bitwise
                 for j in range(W.n):
                     assert np.array_equal(nodes[j].hat_self, hat_shadow[j])
                     for i in W.neighbors(j):
                         assert np.array_equal(nodes[i].copies[j], hat_shadow[j])
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("variant", ["full_copy", "mem_efficient"])
+    @pytest.mark.parametrize("idx", range(len(_identity_configs())))
+    def test_matches_per_node_reference(self, idx, variant):
+        cfg, _ = build_run_config(merged(_identity_configs()[idx], {"variant": variant, "trace": True}))
+        new, old = run(cfg), ref.run(cfg)
+        assert new.total_bits == old.total_bits
+        assert [(r.t, r.bits_cum, r.messages, r.triggers) for r in new.rows] == [
+            (r.t, r.bits_cum, r.messages, r.triggers) for r in old.rows
+        ]
+        for a, b in zip(new.trace, old.trace, strict=True):
+            if variant == "mem_efficient":
+                assert np.array_equal(a, b)
+            else:
+                # dense W @ Hat sums in another order than the per-node loop
+                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        # closed-form and array-reduced metrics against the per-node sums
+        for a, b in zip(new.rows, old.rows):
+            for field in ("loss", "grad_norm_sq", "consensus"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (a.t, field, x, y)
 
 
 class TestConsensusContraction:
@@ -374,8 +401,6 @@ class TestDeterminism:
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_carries_partial_rows(self):
-        from squarm.errors import DivergenceError
-
         cfg = quick_config(
             T=500,
             eval_every=1,
@@ -385,6 +410,20 @@ class TestDivergence:
             run(cfg)
         assert err.value.partial is not None
         assert len(err.value.partial.rows) >= 1
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning escapes the run
+    def test_divergence_between_eval_rows_stops_at_its_step(self):
+        cfg = quick_config(
+            T=2000,
+            eval_every=1000,
+            **{"lr.kind": "constant", "lr.eta": 10.0, "objective.L": 10.0},
+        )
+        with pytest.raises(DivergenceError, match="parameters diverged") as err:
+            run(cfg)
+        rows = err.value.partial.rows
+        assert [r.t for r in rows[:-1]] == [0]
+        assert 0 < rows[-1].t < 999
+        assert not np.isfinite(rows[-1].loss)
 
 
 class TestEmission:

@@ -65,7 +65,7 @@ def test_dpsgd_copies_track_parameters():
     # identity compressor + always trigger keeps every public copy equal to
     # the holder's parameters after each round (up to float bookkeeping)
     from squarm.compress import decode
-    from squarm.engine import seed_streams
+    from squarm.engine import initial_positions, seed_streams
     from squarm.objective import stochastic_grad
     from squarm.schedule import eta_at, threshold_at
     import squarm.node as node_ops
@@ -74,32 +74,24 @@ def test_dpsgd_copies_track_parameters():
     cfg, _ = build_run_config(flat)
     W = cfg.topology
     _, x0_rng, node_rngs = seed_streams(cfg.seed, W.n)
-    x0 = cfg.x0_scale * x0_rng.standard_normal((W.n, cfg.objective.d))
-    nodes = [node_ops.make_node(i, x0[i], W.neighbors(i), "full_copy") for i in range(W.n)]
+    state = node_ops.make_state(
+        initial_positions(x0_rng, W.n, cfg.objective.d, cfg.x0_scale), "full_copy"
+    )
     for t in range(100):
         eta = eta_at(cfg.lr, t)
-        half = []
-        for i, st in enumerate(nodes):
-            g = stochastic_grad(cfg.objective, i, st.x, node_rngs[i])
-            node_ops.local_step(st, g, eta, cfg.beta)
-            half.append(st.x.copy())
+        for i in range(W.n):
+            g = stochastic_grad(cfg.objective, i, state.X[i], node_rngs[i])
+            node_ops.local_step(state, i, g, eta, cfg.beta)
+        half = state.X.copy()
         c_t = threshold_at(cfg.threshold, t, eta)
-        payloads = {
-            i: decode(node_ops.encode_update(st, cfg.compressor, node_rngs[i]))
-            for i, st in enumerate(nodes)
-            if node_ops.should_trigger(st, c_t, eta)
-        }
-        for sender in range(W.n):
-            if sender in payloads:
-                node_ops.apply_incoming(nodes[sender], sender, payloads[sender], W.w[sender])
-                for j in W.neighbors(sender):
-                    node_ops.apply_incoming(nodes[j], sender, payloads[sender], W.w[j])
-        for j, st in enumerate(nodes):
-            assert np.abs(st.hat_self - half[j]).max() < 1e-12
-            for i in W.neighbors(j):
-                assert np.abs(nodes[i].copies[j] - half[j]).max() < 1e-12
-        for st in nodes:
-            node_ops.consensus_step(st, cfg.gamma, W.w[st.index])
+        fired = [i for i in range(W.n) if node_ops.should_trigger(state, i, c_t, eta)]
+        Q = np.array(
+            [decode(node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])) for i in fired]
+        )
+        node_ops.apply_incoming(state, fired, Q, W.w)
+        # row j of Hat is the copy of node j that j and all its neighbors hold
+        assert np.abs(state.Hat - half).max() < 1e-12
+        node_ops.consensus_step(state, cfg.gamma, W.w)
 
 
 def test_squarm_beta_zero_h1_gamma1_identity_always_equals_dpsgd():

@@ -8,7 +8,6 @@ from squarm.topology import (
     build_complete,
     build_custom,
     build_ring,
-    from_matrix,
     power_deviation,
     spectral_quantities,
 )
@@ -120,7 +119,7 @@ class TestSpectralQuantities:
         delta, lam = spectral_quantities(np.eye(4))
         assert delta == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(TopologyError):
-            from_matrix(np.eye(4))  # rejected upstream
+            build_custom(4, [], [], [1.0] * 4)  # W = I is rejected upstream
 
     def test_complete_values(self):
         delta, lam = spectral_quantities(np.full((5, 5), 0.2))
