@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import KNOWN_KEYS, build_run_config, merged
-from .engine import RunResult, bits_to_seconds, derived_constants, metrics_csv, run, summary_json
+from .engine import RunResult, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
 from .presets import PRESETS, preset
 from .verify import SUITES, run_suites
@@ -94,8 +94,7 @@ def _execute(flat: dict, out_dir: str) -> int:
     cfg = result.config
     last = result.rows[-1]
     derived = derived_constants(cfg)
-    print(f"final t={last.t} loss={last.loss:.6g} consensus={last.consensus:.6g}")
-    print(f"bits={result.total_bits} ({bits_to_seconds(result.total_bits, 100_000):.3f}s at 100 kbps)")
+    print(f"final t={last.t} loss={last.loss:.6g} consensus={last.consensus:.6g} bits={result.total_bits}")
     print(
         "derived: "
         + " ".join(

@@ -3,12 +3,13 @@
 Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 Unknown keys are rejected with a message naming the key, and so are values
-that do not fit a key's declared type (TYPES).
+that do not fit a key's declared type (TYPES) or fall below its MINIMUM.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -118,6 +119,17 @@ TYPES: dict[str, type] = {
 }
 
 
+# counts that must be at least this large
+MINIMUM: dict[str, int] = {
+    "topology.n": 1,
+    "objective.d": 1,
+    "objective.samples_per_node": 1,
+    "objective.batch_size": 1,
+    "H": 1,
+    "T": 1,
+}
+
+
 def merged(*layers: dict) -> dict:
     """Apply config layers left to right (later layers win) over defaults."""
     out = dict(DEFAULTS)
@@ -130,14 +142,24 @@ def merged(*layers: dict) -> dict:
 
 
 def _coerce(key: str, value):
-    """value as key's declared type; a ConfigError naming the key if it is not one.
+    """value as key's declared type and within its MINIMUM; a ConfigError
+    naming the key if it is not.
 
-    Integers accept integral floats and digit strings, floats must be
-    finite, booleans accept true/false and 1/0. None (unset) is kept for
-    keys without a default."""
+    None (unset) is kept for keys without a default."""
     kind = TYPES.get(key)
     if kind is None or (value is None and key not in DEFAULTS):
         return value
+    out = _as(kind, key, value)
+    if key in MINIMUM and out < MINIMUM[key]:
+        raise ConfigError(f"{key}: must be >= {MINIMUM[key]}, got {out}")
+    return out
+
+
+def _as(kind: type, key: str, value):
+    """value as kind; a ConfigError naming the key if it is not one.
+
+    Integers accept integral floats and digit strings, floats must be
+    finite, booleans accept true/false and 1/0."""
     expected = f"{key}: expected {'a finite number' if kind is float else kind.__name__}, got {value!r}"
     if kind is bool:
         if value in (0, 1) and not isinstance(value, str):
@@ -154,6 +176,22 @@ def _coerce(key: str, value):
     return out
 
 
+def _as_edge(key: str, value) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key}: expected [i, j] pairs, got {value!r}")
+    return _as(int, key, value[0]), _as(int, key, value[1])
+
+
+def _entries(flat: dict, key: str, length: int | None, convert) -> list:
+    """The list at key, with length entries if given, each passed through
+    convert(key, entry); a ConfigError naming the key if it is not one."""
+    value = _require(flat, key)
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(f"{key}: expected a list{size}, got {value!r}")
+    return [convert(key, entry) for entry in value]
+
+
 def _require(flat: dict, key: str):
     if key not in flat or flat[key] is None:
         raise ConfigError(f"missing config key {key!r}")
@@ -168,12 +206,13 @@ def _build_topology(flat: dict) -> MixingMatrix:
     if kind == "complete":
         return build_complete(n)
     if kind == "custom":
-        edges = [tuple(e) for e in _require(flat, "topology.edges")]
+        edges = _entries(flat, "topology.edges", None, _as_edge)
+        as_float = partial(_as, float)
         return build_custom(
             n,
             edges,
-            list(_require(flat, "topology.edge_weights")),
-            list(_require(flat, "topology.self_weights")),
+            _entries(flat, "topology.edge_weights", len(edges), as_float),
+            _entries(flat, "topology.self_weights", n, as_float),
         )
     raise ConfigError(f"unknown topology.kind {kind!r}")
 
@@ -330,10 +369,6 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     raw = flat
     flat = {key: _coerce(key, value) for key, value in flat.items()}
     warnings: list[str] = []
-    if flat["T"] < 1:
-        raise ConfigError("T: must be >= 1")
-    if flat["H"] < 1:
-        raise ConfigError("H: must be >= 1")
     topo = _build_topology(flat)
     data_rng, _, _ = seed_streams(flat["seed"], flat["topology.n"])
     obj = _build_objective(flat, data_rng)

@@ -43,6 +43,7 @@ DivergenceError carrying the rows so far plus one for the failing step.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -378,7 +379,20 @@ def derived_constants(cfg: RunConfig) -> dict:
     }
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by None, so it encodes as
+    strict JSON (null) instead of the NaN/Infinity tokens."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def summary_json(result: RunResult) -> str:
+    """The run's summary as strict JSON; a divergent run's non-finite values are null."""
     last = result.rows[-1]
     payload = {
         "final": {
@@ -401,4 +415,4 @@ def summary_json(result: RunResult) -> str:
         },
         "config": result.config.raw,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -86,14 +86,21 @@ def apply_incoming(state: NodeState, fired: list[int], Q: np.ndarray, w: np.ndar
     """Deliver the decoded payload Q[k] of each sender fired[k] (ascending) to
     every holder of that sender's copy.
 
-    The memory-efficient sums take the senders one at a time, in order, so
-    each s_i accumulates its terms in the same order whatever the graph.
+    Each memory-efficient sum s_i adds its terms one at a time in ascending
+    sender order, whatever the graph: the nonzero weights w_ij of the fired
+    senders are ranked within their receiver, and rank r adds every
+    receiver's r-th term at once (rank count = the largest number of fired
+    senders any node holds a copy of).
     """
     state.Hat[fired] += Q
     if state.S is not None:
-        for j, q in zip(fired, Q):
-            holders = np.flatnonzero(w[:, j])
-            state.S[holders] += w[holders, j][:, None] * q
+        sub = w[:, fired]
+        rr, kk = np.nonzero(sub)  # receiver-major, senders ascending within a receiver
+        rank = np.arange(len(rr)) - np.searchsorted(rr, rr)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = rank == r
+            ri, ki = rr[at], kk[at]
+            state.S[ri] += sub[ri, ki][:, None] * Q[ki]
 
 
 def consensus_step(state: NodeState, gamma: float, w: np.ndarray) -> None:

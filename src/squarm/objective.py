@@ -7,11 +7,12 @@ per node.
 
 quadratic
     f_i(x) = 0.5 x^T A x - b_i^T x + const_i with a shared curvature matrix A
-    whose spectrum is set explicitly, so L = lambda_max(A) and
-    mu = lambda_min(A) are exact and the global optimum solves A x* = b_bar
-    in closed form. Heterogeneity enters through the per-node linear terms.
-    The stochastic gradient adds i.i.d. Gaussian noise of scale noise_sigma
-    to the exact gradient.
+    whose spectrum is set explicitly: L = lambda_max(A) and mu = lambda_min(A)
+    are the construction values, exact to rounding of the built matrix (no
+    eigendecomposition reads them back), and the global optimum solves
+    A x* = b_bar in closed form. Heterogeneity enters through the per-node
+    linear terms. The stochastic gradient adds i.i.d. Gaussian noise of scale
+    noise_sigma to the exact gradient.
 
 least_squares
     f_i(x) = 1/(2 m_i) sum_j (a_j^T x - y_j)^2 over node-local samples;
@@ -194,7 +195,7 @@ def quadratic_objective(
         n=n,
         d=d,
         L=L,
-        mu=float(np.linalg.eigvalsh(a).min()),
+        mu=mu,
         noise_sigma=noise_sigma,
         quad_a=a,
         quad_b=b,

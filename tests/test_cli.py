@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from squarm.cli import main
-from squarm.config import DEFAULTS, TYPES
+from squarm.config import DEFAULTS, MINIMUM, TYPES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -150,18 +150,57 @@ class TestRun:
         assert "diverged" in proc.stderr
         rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
         assert rows[0]["t"] == "0" and 0 < int(rows[-1]["t"]) < 4999
-        summary = json.loads((out / "summary.json").read_text())
+
+        def reject(token):
+            raise AssertionError(f"summary.json holds the non-JSON token {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["final"]["t"] == int(rows[-1]["t"])
+        assert summary["final"]["loss"] is None
 
     def test_bad_values_name_their_key(self, tmp_path, capsys):
         bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2]}
         for key, kind in TYPES.items():
             # null unsets a key, which only keys without a default may be
-            for value in bad[kind] + ([None] if key in DEFAULTS else []):
+            extra = ([None] if key in DEFAULTS else []) + ([MINIMUM[key] - 1] if key in MINIMUM else [])
+            for value in bad[kind] + extra:
                 flag = f"--{key}={json.dumps(value)}"
                 assert main(["run", "--out", str(tmp_path), "--T=1", flag]) == 2, flag
                 err = capsys.readouterr().err
                 assert key in err and "Traceback" not in err, (flag, err)
+
+    @pytest.mark.parametrize(
+        "key, flags",
+        [
+            ("objective.d", ["--objective.d=0"]),
+            (
+                "topology.edges",
+                ["--topology.kind=custom", "--topology.n=2", "--topology.edges=5",
+                 "--topology.edge_weights=[0.5]", "--topology.self_weights=[0.5,0.5]"],
+            ),
+            ("objective.batch_size", ["--objective.batch_size=0", "--objective.kind=least_squares"]),
+        ],
+    )
+    def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--out", str(tmp_path), *flags],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert key in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+    def test_custom_topology_lists_are_shape_checked(self, tmp_path, capsys):
+        custom = ["run", "--out", str(tmp_path), "--T=2", "--topology.kind=custom", "--topology.n=3",
+                  "--topology.edges=[[0,1],[1,2]]", "--topology.edge_weights=[0.5,0.5]",
+                  "--topology.self_weights=[0.5,0.0,0.5]"]
+        assert main(custom) == 0
+        capsys.readouterr()
+        for flag in ["--topology.edges=[[0,1,2]]", '--topology.edges=[[0,"a"]]',
+                     "--topology.edge_weights=[0.5]", '--topology.edge_weights=[0.5,"x"]',
+                     "--topology.self_weights=[0.5,0.5]", "--topology.self_weights=1.0"]:
+            assert main([*custom, flag]) == 2, flag
+            err = capsys.readouterr().err
+            assert flag[2:].partition("=")[0] in err and "Traceback" not in err, (flag, err)
 
 
 class TestVerify:

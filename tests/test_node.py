@@ -206,3 +206,19 @@ class TestMemEfficientShadow:
             fired = [j for j in range(5) if rng.random() < 0.7]
             apply_incoming(mem, fired, rng.standard_normal((len(fired), 4)), W.w)
             assert np.abs(mem.S - W.w @ mem.Hat).max() < 1e-10
+
+    @pytest.mark.parametrize("w", [build_ring(6, 0.4).w, build_complete(7).w], ids=["ring", "complete"])
+    def test_s_adds_senders_in_ascending_order(self, w):
+        # the sender-by-sender loop the batched update replaces, bit for bit
+        rng = np.random.default_rng(4)
+        n = len(w)
+        mem = make_state(np.zeros((n, 5)), "mem_efficient")
+        S = np.zeros((n, 5))
+        for _ in range(15):
+            fired = [j for j in range(n) if rng.random() < 0.6]
+            Q = rng.standard_normal((len(fired), 5))
+            apply_incoming(mem, fired, Q, w)
+            for j, q in zip(fired, Q):
+                holders = np.flatnonzero(w[:, j])
+                S[holders] += w[holders, j][:, None] * q
+            assert np.array_equal(mem.S, S)

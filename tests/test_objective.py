@@ -200,3 +200,34 @@ def test_quadratic_L_mu_are_valid_bounds():
     assert eigs.max() <= obj.L * (1 + 1e-12)
     assert eigs.min() >= obj.mu * (1 - 1e-12)
     assert obj.L / obj.mu == pytest.approx(10.0, rel=1e-9)
+
+
+class TestQuadraticSetup:
+    """The quadratic's curvature bounds are its construction values; set-up
+    makes no spectral decomposition of the (d, d) matrix."""
+
+    def test_no_spectral_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("O(d^3) spectral call in quadratic set-up")
+
+        for name in ("eigvalsh", "eigh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        quadratic_objective(3, 30, np.random.default_rng(0), mu=0.5, L=4.0)
+
+    @pytest.mark.parametrize("d", [20, 200])
+    def test_matrix_is_the_spelled_out_construction(self, d):
+        mu, L, n = 0.5, 4.0, 3
+        obj = quadratic_objective(n, d, np.random.default_rng(7), mu=mu, L=L)
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = (q * np.linspace(mu, L, d)) @ q.T
+        a = (a + a.T) / 2.0
+        b = a @ rng.standard_normal(d) + rng.standard_normal((n, d))
+        assert np.array_equal(obj.quad_a, a)
+        assert np.array_equal(obj.quad_b, b)
+
+    def test_bounds_are_construction_values(self):
+        mu, L = 0.25, 8.0
+        obj = quadratic_objective(2, 200, np.random.default_rng(3), mu=mu, L=L)
+        assert obj.mu == mu and obj.L == L
+        assert abs(np.linalg.eigvalsh(obj.quad_a).min() - mu) <= 1e-12 * L
