@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import KNOWN_KEYS, build_run_config, merged
+from .config import KEYS, build_run_config, merged
 from .engine import RunResult, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
 from .presets import PRESETS, preset
@@ -44,7 +44,7 @@ def _parse_overrides(extras: list[str]) -> dict:
         if not item.startswith("--") or "=" not in item:
             raise SquarmError(f"unrecognized argument {item!r} (expected --key=value)")
         key, _, value = item[2:].partition("=")
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise SquarmError(f"unknown config key {key!r}")
         out[key] = _parse_value(value)
     return out

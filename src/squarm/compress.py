@@ -44,8 +44,8 @@ KINDS = (
     "qsgd_top_k",
 )
 
-_SPARSE_KINDS = ("top_k", "rand_k", "sign_top_k", "qsgd_top_k")
-_QUANT_KINDS = ("qsgd", "qsgd_top_k")
+SPARSE_KINDS = ("top_k", "rand_k", "sign_top_k", "qsgd_top_k")
+QUANT_KINDS = ("qsgd", "qsgd_top_k")
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown compressor kind {self.kind!r}")
-        if self.kind in _SPARSE_KINDS:
+        if self.kind in SPARSE_KINDS:
             if self.k is None or self.k < 1:
                 raise ParameterError(f"{self.kind} needs k >= 1")
-        if self.kind in _QUANT_KINDS:
+        if self.kind in QUANT_KINDS:
             if self.s is None or self.s < 1:
                 raise ParameterError(f"{self.kind} needs s >= 1")
         if self.value_bits < 1:

@@ -2,165 +2,144 @@
 
 Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
-Unknown keys are rejected with a message naming the key, and so are values
-that do not fit a key's declared type (TYPES) or fall below its MINIMUM.
+KEYS is the one description of every key: its type, its default (UNSET keys
+are absent unless set) and its valid values, an interval or a tuple of
+choices. merged rejects keys not in it and _coerce checks each value against
+it; a value that does not fit is a ConfigError that starts with its key.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
 from . import objective as obj_ops
 from . import schedule as sched
-from .compress import CompressorSpec, omega_of
+from .compress import KINDS, QUANT_KINDS, SPARSE_KINDS, CompressorSpec, omega_of
 from .engine import RunConfig, seed_streams
-from .errors import ConfigError, SquarmError
+from .errors import ConfigError, DataError, PartitionError, TopologyError
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
-DEFAULTS = {
-    "topology.kind": "ring",
-    "topology.n": 8,
-    "topology.self_weight": 1.0 / 3.0,
-    "objective.kind": "quadratic",
-    "objective.d": 20,
-    "objective.noise_sigma": 0.0,
-    "objective.mu": 1.0,
-    "objective.L": 10.0,
-    "objective.hetero_scale": 1.0,
-    "objective.samples_per_node": 32,
-    "objective.batch_size": 1,
-    "objective.alpha": 0.1,
-    "objective.l2_reg": 0.01,
-    "objective.partition_mode": "iid",
-    "compressor.kind": "identity",
-    "compressor.value_bits": 32,
-    "lr.kind": "auto_constant",
-    "gamma.kind": "explicit",
-    "gamma.value": 1.0,
-    "threshold.kind": "always",
-    "H": 1,
-    "T": 1000,
-    "beta": 0.0,
-    "seed": 0,
-    "variant": "full_copy",
-    "accounting": "broadcast",
-    "diagnostics": True,
-    "parallel": False,
-    "x0_scale": 0.0,
-}
-
-_OPTIONAL = {
-    "topology.edges",
-    "topology.edge_weights",
-    "topology.self_weights",
-    "objective.dataset_path",
-    "compressor.k",
-    "compressor.k_frac",
-    "compressor.s",
-    "lr.eta",
-    "lr.b",
-    "lr.a",
-    "lr.mu",
-    "gamma.omega",
-    "threshold.c0",
-    "threshold.epsilon",
-    "threshold.init",
-    "threshold.step",
-    "threshold.period",
-    "eval_every",
-    "grad_clip",
-    "trace",
-}
-
-KNOWN_KEYS = set(DEFAULTS) | _OPTIONAL
-
-# declared type of every numeric or boolean key; the others hold strings
-# (kinds, modes, paths) or the custom topology's lists
-TYPES: dict[str, type] = {
-    "topology.n": int,
-    "topology.self_weight": float,
-    "objective.d": int,
-    "objective.noise_sigma": float,
-    "objective.mu": float,
-    "objective.L": float,
-    "objective.hetero_scale": float,
-    "objective.samples_per_node": int,
-    "objective.batch_size": int,
-    "objective.alpha": float,
-    "objective.l2_reg": float,
-    "compressor.k": int,
-    "compressor.k_frac": float,
-    "compressor.s": int,
-    "compressor.value_bits": int,
-    "lr.eta": float,
-    "lr.b": float,
-    "lr.a": float,
-    "lr.mu": float,
-    "gamma.value": float,
-    "gamma.omega": float,
-    "threshold.c0": float,
-    "threshold.epsilon": float,
-    "threshold.init": float,
-    "threshold.step": float,
-    "threshold.period": int,
-    "H": int,
-    "T": int,
-    "beta": float,
-    "seed": int,
-    "eval_every": int,
-    "grad_clip": float,
-    "x0_scale": float,
-    "diagnostics": bool,
-    "parallel": bool,
-    "trace": bool,
-}
+UNSET = None  # the default of keys that are absent unless set
 
 
-# counts that must be at least this large
-MINIMUM: dict[str, int] = {
-    "topology.n": 1,
-    "objective.d": 1,
-    "objective.samples_per_node": 1,
-    "objective.batch_size": 1,
-    "H": 1,
-    "T": 1,
+@dataclass(frozen=True)
+class Key:
+    type: type  # int, float, bool, str or list
+    default: object = UNSET
+    valid: str | tuple[str, ...] = ""  # an interval such as "(0, 1]", or the choices
+
+
+_POSITIVE, _COUNT, _UNIT = "(0, inf)", "[1, inf)", "(0, 1]"
+
+KEYS: dict[str, Key] = {
+    "topology.kind": Key(str, "ring", ("ring", "complete", "custom")),
+    "topology.n": Key(int, 8, _COUNT),
+    "topology.self_weight": Key(float, 1.0 / 3.0),
+    "topology.edges": Key(list),
+    "topology.edge_weights": Key(list),
+    "topology.self_weights": Key(list),
+    "objective.kind": Key(str, "quadratic", ("quadratic", "least_squares", "least_squares_nonconvex", "logistic_l2")),
+    "objective.d": Key(int, 20, _COUNT),
+    "objective.noise_sigma": Key(float, 0.0),
+    "objective.mu": Key(float, 1.0, _POSITIVE),
+    "objective.L": Key(float, 10.0, _POSITIVE),
+    "objective.hetero_scale": Key(float, 1.0),
+    "objective.samples_per_node": Key(int, 32, _COUNT),
+    "objective.batch_size": Key(int, 1, _COUNT),
+    "objective.alpha": Key(float, 0.1),
+    "objective.l2_reg": Key(float, 0.01),
+    "objective.partition_mode": Key(str, "iid", ("iid", "sorted_by_label")),
+    "objective.dataset_path": Key(str),
+    "compressor.kind": Key(str, "identity", KINDS),
+    "compressor.k": Key(int, UNSET, _COUNT),
+    "compressor.k_frac": Key(float, UNSET, _UNIT),
+    "compressor.s": Key(int, UNSET, _COUNT),
+    "compressor.value_bits": Key(int, 32, _COUNT),
+    "lr.kind": Key(str, "auto_constant", ("constant", "auto_constant", "decaying", "auto_decaying")),
+    "lr.eta": Key(float, UNSET, _POSITIVE),
+    "lr.b": Key(float, UNSET, _POSITIVE),
+    "lr.a": Key(float, UNSET, "[1, inf)"),
+    "lr.mu": Key(float, UNSET, _POSITIVE),
+    "gamma.kind": Key(str, "explicit", ("explicit", "auto_relaxed", "auto_strong")),
+    "gamma.value": Key(float, 1.0, _UNIT),
+    "gamma.omega": Key(float, UNSET, _UNIT),
+    "threshold.kind": Key(str, "always", ("always", "never", "poly", "const_eta", "piecewise")),
+    "threshold.c0": Key(float, UNSET, "[0, inf)"),
+    "threshold.epsilon": Key(float, UNSET, _UNIT),
+    "threshold.init": Key(float, UNSET, "[0, inf)"),
+    "threshold.step": Key(float, UNSET, "[0, inf)"),
+    "threshold.period": Key(int, UNSET, _COUNT),
+    "H": Key(int, 1, _COUNT),
+    "T": Key(int, 1000, _COUNT),
+    "beta": Key(float, 0.0, "[0, 1)"),
+    "seed": Key(int, 0, "[0, inf)"),
+    "variant": Key(str, "full_copy", ("full_copy", "mem_efficient")),
+    "accounting": Key(str, "broadcast", ("broadcast", "unicast")),
+    "diagnostics": Key(bool, True),
+    "parallel": Key(bool, False),
+    "x0_scale": Key(float, 0.0),
+    "eval_every": Key(int, UNSET, _COUNT),
+    "grad_clip": Key(float, UNSET, _POSITIVE),
+    "trace": Key(bool),
 }
 
 
 def merged(*layers: dict) -> dict:
-    """Apply config layers left to right (later layers win) over defaults."""
-    out = dict(DEFAULTS)
+    """Apply config layers left to right (later layers win) over the defaults."""
+    out = {key: spec.default for key, spec in KEYS.items() if spec.default is not UNSET}
     for layer in layers:
         for key, value in layer.items():
-            if key not in KNOWN_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             out[key] = value
     return out
 
 
 def _coerce(key: str, value):
-    """value as key's declared type and within its MINIMUM; a ConfigError
-    naming the key if it is not.
+    """value as KEYS[key] declares it: of its type and among its valid values;
+    a ConfigError naming the key if it is not.
 
     None (unset) is kept for keys without a default."""
-    kind = TYPES.get(key)
-    if kind is None or (value is None and key not in DEFAULTS):
-        return value
-    out = _as(kind, key, value)
-    if key in MINIMUM and out < MINIMUM[key]:
-        raise ConfigError(f"{key}: must be >= {MINIMUM[key]}, got {out}")
+    spec = KEYS[key]
+    if value is None and spec.default is UNSET:
+        return None
+    if isinstance(spec.valid, tuple):
+        if value in spec.valid:
+            return value
+        raise ConfigError(f"{key}: expected one of {', '.join(spec.valid)}, got {value!r}")
+    out = _as(spec.type, key, value)
+    if spec.valid and not _within(out, spec.valid):
+        raise ConfigError(f"{key}: must be in {spec.valid}, got {out!r}")
     return out
+
+
+@cache
+def _interval(text: str) -> tuple[float, float, bool, bool]:
+    """"(0, 1]" as (0.0, 1.0, True, False): the bounds and whether each is open."""
+    lo, hi = text[1:-1].split(",")
+    return float(lo), float(hi), text[0] == "(", text[-1] == ")"
+
+
+def _within(value, interval: str) -> bool:
+    lo, hi, lo_open, hi_open = _interval(interval)
+    return (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
 
 
 def _as(kind: type, key: str, value):
     """value as kind; a ConfigError naming the key if it is not one.
 
-    Integers accept integral floats and digit strings, floats must be
-    finite, booleans accept true/false and 1/0."""
+    Integers accept integral floats and digit strings, numbers must be
+    within the float range, booleans accept true/false and 1/0, lists
+    accept lists."""
     expected = f"{key}: expected {'a finite number' if kind is float else kind.__name__}, got {value!r}"
+    if kind in (str, list):
+        if isinstance(value, str if kind is str else (list, tuple)):
+            return value
+        raise ConfigError(expected)
     if kind is bool:
         if value in (0, 1) and not isinstance(value, str):
             return bool(value)
@@ -169,9 +148,10 @@ def _as(kind: type, key: str, value):
         raise ConfigError(expected)
     try:
         out = kind(value)
+        finite = math.isfinite(out)  # an int past the float range overflows here
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(expected) from None
-    if not math.isfinite(out):
+    if not finite:
         raise ConfigError(expected)
     return out
 
@@ -186,9 +166,8 @@ def _entries(flat: dict, key: str, length: int | None, convert) -> list:
     """The list at key, with length entries if given, each passed through
     convert(key, entry); a ConfigError naming the key if it is not one."""
     value = _require(flat, key)
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length} entries"
-        raise ConfigError(f"{key}: expected a list{size}, got {value!r}")
+    if length not in (None, len(value)):
+        raise ConfigError(f"{key}: expected a list of {length} entries, got {value!r}")
     return [convert(key, entry) for entry in value]
 
 
@@ -201,11 +180,11 @@ def _require(flat: dict, key: str):
 def _build_topology(flat: dict) -> MixingMatrix:
     kind = flat["topology.kind"]
     n = flat["topology.n"]
-    if kind == "ring":
-        return build_ring(n, flat["topology.self_weight"])
-    if kind == "complete":
-        return build_complete(n)
-    if kind == "custom":
+    try:
+        if kind == "ring":
+            return build_ring(n, flat["topology.self_weight"])
+        if kind == "complete":
+            return build_complete(n)
         edges = _entries(flat, "topology.edges", None, _as_edge)
         as_float = partial(_as, float)
         return build_custom(
@@ -214,7 +193,8 @@ def _build_topology(flat: dict) -> MixingMatrix:
             _entries(flat, "topology.edge_weights", len(edges), as_float),
             _entries(flat, "topology.self_weights", n, as_float),
         )
-    raise ConfigError(f"unknown topology.kind {kind!r}")
+    except TopologyError as exc:  # exc.arg is the builder argument, named like its key
+        raise ConfigError(f"topology.{exc.arg}: {exc}") from None
 
 
 def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet:
@@ -222,74 +202,77 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
     n = flat["topology.n"]
     d = flat["objective.d"]
     if kind == "quadratic":
+        mu, L = flat["objective.mu"], flat["objective.L"]
+        if L < mu:
+            raise ConfigError(f"objective.L: must be >= objective.mu={mu!r}, got {L!r}")
         return obj_ops.quadratic_objective(
             n,
             d,
             rng,
-            mu=flat["objective.mu"],
-            L=flat["objective.L"],
+            mu=mu,
+            L=L,
             noise_sigma=flat["objective.noise_sigma"],
             hetero_scale=flat["objective.hetero_scale"],
         )
-    if kind in ("least_squares", "least_squares_nonconvex", "logistic_l2"):
-        path = flat.get("objective.dataset_path")
-        if path:
+    path = flat["objective.dataset_path"]
+    if path:
+        try:
             features, targets = obj_ops.load_dataset(path)
             shards_x, shards_y = obj_ops.partition_heterogeneous(
                 features, targets, n, flat["objective.partition_mode"], rng
             )
-            return obj_ops.from_shards(
-                kind,
-                shards_x,
-                shards_y,
-                batch_size=flat["objective.batch_size"],
-                alpha=flat["objective.alpha"],
-                l2_reg=flat["objective.l2_reg"],
-            )
-        if kind == "logistic_l2":
-            return obj_ops.logistic_objective(
-                n,
-                d,
-                flat["objective.samples_per_node"],
-                rng,
-                l2_reg=flat["objective.l2_reg"],
-                batch_size=flat["objective.batch_size"],
-            )
-        return obj_ops.least_squares_objective(
+        except (DataError, PartitionError) as exc:
+            raise ConfigError(f"objective.dataset_path: {exc}") from None
+        return obj_ops.from_shards(
+            kind,
+            shards_x,
+            shards_y,
+            batch_size=flat["objective.batch_size"],
+            alpha=flat["objective.alpha"],
+            l2_reg=flat["objective.l2_reg"],
+        )
+    if kind == "logistic_l2":
+        return obj_ops.logistic_objective(
             n,
             d,
             flat["objective.samples_per_node"],
             rng,
+            l2_reg=flat["objective.l2_reg"],
             batch_size=flat["objective.batch_size"],
-            alpha=flat["objective.alpha"],
-            nonconvex=(kind == "least_squares_nonconvex"),
         )
-    raise ConfigError(f"unknown objective.kind {kind!r}")
+    return obj_ops.least_squares_objective(
+        n,
+        d,
+        flat["objective.samples_per_node"],
+        rng,
+        batch_size=flat["objective.batch_size"],
+        alpha=flat["objective.alpha"],
+        nonconvex=(kind == "least_squares_nonconvex"),
+    )
 
 
 def _build_compressor(flat: dict, d: int) -> CompressorSpec:
     kind = flat["compressor.kind"]
-    k = flat.get("compressor.k")
-    if k is None and flat.get("compressor.k_frac") is not None:
+    k = flat["compressor.k"]
+    if k is None and flat["compressor.k_frac"] is not None:
         k = max(1, round(flat["compressor.k_frac"] * d))
+    if k is None and kind in SPARSE_KINDS:
+        _require(flat, "compressor.k")
     if k is not None and k > d:
         raise ConfigError(f"compressor.k: k={k} exceeds dimension d={d}")
-    try:
-        return CompressorSpec(
-            kind=kind,
-            k=k,
-            s=flat.get("compressor.s"),
-            value_bits=flat["compressor.value_bits"],
-        )
-    except SquarmError as exc:
-        raise ConfigError(f"compressor.kind: {exc}") from exc
+    return CompressorSpec(
+        kind=kind,
+        k=k,
+        s=_require(flat, "compressor.s") if kind in QUANT_KINDS else flat["compressor.s"],
+        value_bits=flat["compressor.value_bits"],
+    )
 
 
 def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int) -> float:
     kind = flat["gamma.kind"]
     if kind == "explicit":
         return _require(flat, "gamma.value")
-    omega = flat.get("gamma.omega")
+    omega = flat["gamma.omega"]
     if omega is None:
         omega = omega_of(comp, d)
     if omega is None:
@@ -297,11 +280,11 @@ def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int)
             "gamma.omega: compressor has no formulaic omega; supply gamma.omega "
             "explicitly or use gamma.kind=explicit"
         )
-    if kind == "auto_relaxed":
-        return sched.gamma_relaxed(topo.delta, omega, topo.lambda_dev)
-    if kind == "auto_strong":
-        return sched.gamma_strong(topo.delta, omega, topo.lambda_dev)
-    raise ConfigError(f"unknown gamma.kind {kind!r}")
+    formula = sched.gamma_relaxed if kind == "auto_relaxed" else sched.gamma_strong
+    gamma = formula(topo.delta, omega, topo.lambda_dev)
+    if gamma == 0.0:  # underflow
+        raise ConfigError(f"gamma.omega: {omega!r} is too small, it gives gamma = 0")
+    return gamma
 
 
 def _resolve_lr(
@@ -329,19 +312,15 @@ def _resolve_lr(
             a=_require(flat, "lr.a"),
             beta=beta,
         )
-    if kind == "auto_decaying":
-        mu = flat.get("lr.mu")
-        mu = mu if mu is not None else obj.mu
-        if mu <= 0:
-            raise ConfigError("lr.mu: decaying schedule needs mu > 0")
-        p = sched.p_of(gamma, topo.delta)
-        a_min = sched.min_a_strongly_convex(H, p, obj.L, mu, beta)
-        a = flat.get("lr.a")
-        a = a if a is not None else a_min
-        if a < a_min:
-            warnings.append(f"lr.a={a:.1f} below the admissibility minimum {a_min:.1f}")
-        return sched.decaying_schedule(mu, beta, a)
-    raise ConfigError(f"unknown lr.kind {kind!r}")
+    # an objective that is not strongly convex leaves mu to the config
+    mu = obj.mu if flat["lr.mu"] is None and obj.mu > 0 else _require(flat, "lr.mu")
+    p = sched.p_of(gamma, topo.delta)
+    a_min = sched.min_a_strongly_convex(H, p, obj.L, mu, beta)
+    a = flat["lr.a"]
+    a = a if a is not None else a_min
+    if a < a_min:
+        warnings.append(f"lr.a={a:.1f} below the admissibility minimum {a_min:.1f}")
+    return sched.decaying_schedule(mu, beta, a)
 
 
 def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
@@ -354,20 +333,18 @@ def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
             c0=_require(flat, "threshold.c0"),
             epsilon=_require(flat, "threshold.epsilon"),
         )
-    if kind == "piecewise":
-        return sched.ThresholdSchedule(
-            kind=kind,
-            init=_require(flat, "threshold.init"),
-            step=_require(flat, "threshold.step"),
-            period=_require(flat, "threshold.period"),
-        )
-    raise ConfigError(f"unknown threshold.kind {kind!r}")
+    return sched.ThresholdSchedule(
+        kind=kind,
+        init=_require(flat, "threshold.init"),
+        step=_require(flat, "threshold.step"),
+        period=_require(flat, "threshold.period"),
+    )
 
 
 def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     """Resolve a merged flat config into a RunConfig plus non-fatal warnings."""
     raw = flat
-    flat = {key: _coerce(key, value) for key, value in flat.items()}
+    flat = {key: _coerce(key, flat.get(key)) for key in KEYS}
     warnings: list[str] = []
     topo = _build_topology(flat)
     data_rng, _, _ = seed_streams(flat["seed"], flat["topology.n"])
@@ -376,8 +353,6 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     gamma = _resolve_gamma(flat, topo, comp, obj.d)
     lr = _resolve_lr(flat, obj, topo, gamma, warnings)
     threshold = _build_threshold(flat)
-    if threshold.kind == "poly" and threshold.epsilon <= 0:
-        raise ConfigError("threshold.epsilon: poly thresholds need epsilon > 0")
     if lr.kind == "decaying":
         p = gamma * topo.delta / 8.0
         if lr.a < 5 * flat["H"] / p:
@@ -391,18 +366,8 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
         lr=lr,
         threshold=threshold,
         gamma=gamma,
-        H=flat["H"],
-        T=flat["T"],
-        beta=flat["beta"],
-        seed=flat["seed"],
-        variant=flat["variant"],
-        accounting=flat["accounting"],
-        eval_every=flat.get("eval_every") or None,
-        diagnostics=flat["diagnostics"],
-        parallel=flat["parallel"],
-        grad_clip=flat.get("grad_clip"),
-        x0_scale=flat["x0_scale"],
-        trace=bool(flat.get("trace")),
+        # the undotted keys are RunConfig fields; unset ones keep the field's default
+        **{key: value for key, value in flat.items() if "." not in key and value is not None},
         raw={k: raw[k] for k in sorted(raw)},
     )
     return cfg, warnings

@@ -6,7 +6,14 @@ class SquarmError(Exception):
 
 
 class TopologyError(SquarmError):
-    """Invalid graph or mixing-matrix construction parameters."""
+    """Invalid graph or mixing-matrix construction parameters.
+
+    arg names the builder argument to change, where there is one.
+    """
+
+    def __init__(self, message, arg=None):
+        super().__init__(message)
+        self.arg = arg
 
 
 class ConnectivityError(TopologyError):

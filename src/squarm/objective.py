@@ -348,7 +348,10 @@ def partition_heterogeneous(
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a plain numeric text file: one sample per line, comma-separated
     features with the label/target in the last field."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from None
     if data.shape[1] < 2:
         raise DataError("dataset rows need at least one feature and a label")
     return data[:, :-1], data[:, -1]

@@ -177,6 +177,14 @@ def p_of(gamma: float, delta: float, omega: float | None = None) -> float:
     return p
 
 
+def _squared(x: float) -> float:
+    """x**2, or inf where that overflows (a float power raises instead)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def min_a_strongly_convex(H: int, p: float, L: float, mu: float, beta: float) -> float:
     """Smallest admissible offset a for the decaying schedule."""
     if p <= 0:
@@ -188,18 +196,18 @@ def min_a_strongly_convex(H: int, p: float, L: float, mu: float, beta: float) ->
     return max(
         5.0 * H / p,
         128.0 * L / mu,
-        16.0 * (16.0 * L * beta**2) ** 2 / (mu * (1.0 - beta)),
+        16.0 * _squared(16.0 * L * beta**2) / (mu * (1.0 - beta)),
     )
 
 
 def min_T_nonconvex(L: float, n: int, beta: float) -> float:
     """Smallest admissible T for the constant-lr non-convex guarantee."""
-    return max(16.0 * L**2 * n, 8.0 * L**2 * beta**4 * n / (1.0 - beta) ** 2)
+    return max(16.0 * _squared(L) * n, 8.0 * _squared(L) * beta**4 * n / (1.0 - beta) ** 2)
 
 
 def weighted_avg_weight(a: float, t: int) -> float:
     """w_t = (a + t)^2."""
-    return (a + t) ** 2
+    return _squared(a + t)
 
 
 def s_T(a: float, T: int) -> float:

@@ -79,6 +79,7 @@ def power_deviation(w: np.ndarray, k: int) -> float:
 
 
 def _validate(w: np.ndarray) -> MixingMatrix:
+    # the error args name build_custom's arguments; ring and complete matrices always pass
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise TopologyError("weight matrix must be square")
@@ -86,18 +87,19 @@ def _validate(w: np.ndarray) -> MixingMatrix:
     if not np.array_equal(w, w.T):
         raise SymmetryError("weight matrix is not symmetric")
     if (w < 0).any():
-        raise StochasticityError("weight matrix has negative entries")
+        raise StochasticityError("weight matrix has negative entries", "self_weights")
     row_dev = np.abs(w.sum(axis=1) - 1.0).max()
     col_dev = np.abs(w.sum(axis=0) - 1.0).max()
     if max(row_dev, col_dev) > STOCHASTIC_TOL:
         raise StochasticityError(
-            f"rows/columns must sum to 1 (max deviation {max(row_dev, col_dev):.3e})"
+            f"rows/columns must sum to 1 (max deviation {max(row_dev, col_dev):.3e})",
+            "self_weights",
         )
     if not _connected(w):
-        raise ConnectivityError("communication graph is not connected")
+        raise ConnectivityError("communication graph is not connected", "edges")
     delta, lambda_dev = spectral_quantities(w)
     if delta <= 0:
-        raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})")
+        raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", "self_weights")
     w = w.copy()
     w.setflags(write=False)
     return MixingMatrix(n=n, w=w, delta=delta, lambda_dev=lambda_dev)
@@ -124,9 +126,9 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
     self_weight + (1 - self_weight) * cos(2 pi k / n).
     """
     if n < 3:
-        raise TopologyError(f"ring needs n >= 3, got n={n}")
+        raise TopologyError(f"ring needs n >= 3, got n={n}", "n")
     if not 0.0 < self_weight < 1.0:
-        raise TopologyError(f"self_weight must be in (0, 1), got {self_weight}")
+        raise TopologyError(f"self_weight must be in (0, 1), got {self_weight}", "self_weight")
     w = np.zeros((n, n))
     side = (1.0 - self_weight) / 2.0
     for i in range(n):
@@ -139,7 +141,7 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
 def build_complete(n: int) -> MixingMatrix:
     """Complete graph with uniform weights 1/n; delta = lambda_dev = 1."""
     if n < 2:
-        raise TopologyError(f"complete graph needs n >= 2, got n={n}")
+        raise TopologyError(f"complete graph needs n >= 2, got n={n}", "n")
     return _validate(np.full((n, n), 1.0 / n))
 
 
@@ -154,21 +156,21 @@ def build_custom(
     An edge may be listed in one direction (the weight is mirrored) or in
     both; listing both directions with different weights is a symmetry error.
     """
+    if n < 2:
+        raise TopologyError(f"custom graph needs n >= 2, got n={n}", "n")
     if len(edges) != len(edge_weights):
-        raise TopologyError("edges and edge_weights must have equal length")
+        raise TopologyError("edges and edge_weights must have equal length", "edge_weights")
     if len(self_weights) != n:
-        raise TopologyError("self_weights must have one entry per node")
+        raise TopologyError("self_weights must have one entry per node", "self_weights")
     w = np.zeros((n, n))
     seen: dict[tuple[int, int], float] = {}
     for (i, j), weight in zip(edges, edge_weights):
         if i == j or not (0 <= i < n and 0 <= j < n):
-            raise TopologyError(f"bad edge ({i}, {j})")
+            raise TopologyError(f"bad edge ({i}, {j})", "edges")
         if weight < 0:
-            raise TopologyError(f"negative weight on edge ({i}, {j})")
+            raise TopologyError(f"negative weight on edge ({i}, {j})", "edge_weights")
         if (j, i) in seen and seen[(j, i)] != weight:
-            raise SymmetryError(
-                f"edge ({i}, {j}) and ({j}, {i}) given different weights"
-            )
+            raise SymmetryError(f"edge ({i}, {j}) and ({j}, {i}) given different weights", "edge_weights")
         seen[(i, j)] = weight
         w[i, j] = weight
         w[j, i] = weight

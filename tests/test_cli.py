@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from squarm.cli import main
-from squarm.config import DEFAULTS, MINIMUM, TYPES
+from squarm.config import KEYS, UNSET
+from test_config_properties import bounds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,6 +30,22 @@ def base_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def just_outside(spec):
+    """A value just past each finite end of the key's valid interval, or a
+    string that is none of its choices."""
+    if isinstance(spec.valid, tuple):
+        return ["bogus"]
+    if not spec.valid:
+        return []
+    lo, hi, lo_open, hi_open = bounds(spec.valid)
+
+    def past(end, way):
+        return int(end) + way if spec.type is int else math.nextafter(end, way * math.inf)
+
+    ends = [(lo, lo_open, -1), (hi, hi_open, 1)]
+    return [spec.type(end) if is_open else past(end, way) for end, is_open, way in ends if math.isfinite(end)]
 
 
 class TestRun:
@@ -159,15 +177,15 @@ class TestRun:
         assert summary["final"]["loss"] is None
 
     def test_bad_values_name_their_key(self, tmp_path, capsys):
-        bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2]}
-        for key, kind in TYPES.items():
+        bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2], str: [5], list: [5]}
+        for key, spec in KEYS.items():
             # null unsets a key, which only keys without a default may be
-            extra = ([None] if key in DEFAULTS else []) + ([MINIMUM[key] - 1] if key in MINIMUM else [])
-            for value in bad[kind] + extra:
+            unset = [] if spec.default is UNSET else [None]
+            for value in bad[spec.type] + unset + just_outside(spec):
                 flag = f"--{key}={json.dumps(value)}"
                 assert main(["run", "--out", str(tmp_path), "--T=1", flag]) == 2, flag
                 err = capsys.readouterr().err
-                assert key in err and "Traceback" not in err, (flag, err)
+                assert err.startswith(f"error: {key}") and "Traceback" not in err, (flag, err)
 
     @pytest.mark.parametrize(
         "key, flags",
@@ -179,15 +197,52 @@ class TestRun:
                  "--topology.edge_weights=[0.5]", "--topology.self_weights=[0.5,0.5]"],
             ),
             ("objective.batch_size", ["--objective.batch_size=0", "--objective.kind=least_squares"]),
+            ("beta", ["--beta=1.5"]),
+            ("compressor.value_bits", ["--compressor.value_bits=0"]),
+            ("lr.eta", ["--lr.kind=constant", "--lr.eta=-1"]),
+            ("threshold.epsilon", ["--threshold.kind=poly", "--threshold.c0=1", "--threshold.epsilon=2"]),
+            ("objective.L", ["--objective.L=0.5"]),
+            ("grad_clip", ["--grad_clip=-1"]),
+            ("eval_every", ["--eval_every=-3", "--T=10"]),
+            ("topology.n", ["--topology.n=2"]),
+            ("gamma.omega", ["--gamma.kind=auto_relaxed", "--gamma.omega=1e-110", "--lr.kind=auto_decaying"]),
+            (
+                "topology.edges",
+                ["--topology.kind=custom", "--topology.n=3", "--topology.edges=[[0,5]]",
+                 "--topology.edge_weights=[0.5]", "--topology.self_weights=[0.5,0.5,1]"],
+            ),
+            ("objective.dataset_path", ["--objective.kind=least_squares", "--objective.dataset_path={tmp}/missing.csv"]),
+            ("objective.dataset_path", ["--objective.kind=least_squares", "--objective.dataset_path={tmp}/words.csv"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):
+        (tmp_path / "words.csv").write_text("a,b\nc,d\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "squarm", "run", "--out", str(tmp_path), *flags],
+            [sys.executable, "-m", "squarm", "run", "--out", str(tmp_path),
+             *(flag.format(tmp=tmp_path) for flag in flags)],
             capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 2, proc.stderr
-        assert key in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: {key}") and "Traceback" not in proc.stderr, proc.stderr
+        assert "compressor.kind" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("--compressor.kind=top_k", "compressor.k"),
+            ("--compressor.kind=qsgd", "compressor.s"),
+            ("--lr.kind=constant", "lr.eta"),
+            ("--lr.kind=decaying", "lr.b"),
+            ("--threshold.kind=poly", "threshold.c0"),
+            ("--threshold.kind=piecewise", "threshold.init"),
+            ("--topology.kind=custom", "topology.edges"),
+            # mu of an objective that is not strongly convex is left to lr.mu
+            ("--lr.kind=auto_decaying --objective.kind=least_squares", "lr.mu"),
+        ],
+    )
+    def test_keys_a_kind_requires_are_named(self, tmp_path, capsys, kind, key):
+        assert main(["run", "--out", str(tmp_path), "--T=1", *kind.split()]) == 2
+        assert capsys.readouterr().err == f"error: missing config key {key!r}\n"
 
     def test_custom_topology_lists_are_shape_checked(self, tmp_path, capsys):
         custom = ["run", "--out", str(tmp_path), "--T=2", "--topology.kind=custom", "--topology.n=3",

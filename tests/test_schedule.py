@@ -136,6 +136,12 @@ class TestAdmissibility:
     def test_min_T_zero_L(self):
         assert min_T_nonconvex(0.0, 8, 0.5) == 0.0
 
+    def test_squares_past_the_float_range_are_inf(self):
+        # a float power raises OverflowError where a product would give inf
+        assert min_T_nonconvex(1e200, 8, 0.5) == math.inf
+        assert min_a_strongly_convex(1, 0.1, 1e200, 1.0, 0.5) == math.inf
+        assert weighted_avg_weight(1e200, 3) == math.inf
+
 
 class TestThresholds:
     def test_always(self):

@@ -103,6 +103,24 @@ class TestBuildCustom:
         with pytest.raises(ConnectivityError):
             build_custom(4, [(0, 1), (2, 3)], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "build, arg",
+        [
+            (lambda: build_custom(1, [], [], [1.0]), "n"),
+            (lambda: build_custom(3, [(0, 5)], [0.5], [0.5, 0.5, 1.0]), "edges"),
+            (lambda: build_custom(2, [(0, 1)], [-0.5], [0.5, 0.5]), "edge_weights"),
+            (lambda: build_custom(3, [(0, 1), (1, 2)], [0.5, 0.5], [0.5, 0.5, 0.5]), "self_weights"),
+            (lambda: build_custom(4, [(0, 1), (2, 3)], [0.5, 0.5], [0.5] * 4), "edges"),
+            (lambda: build_ring(2), "n"),
+            (lambda: build_ring(5, 1.5), "self_weight"),
+            (lambda: build_complete(1), "n"),
+        ],
+    )
+    def test_errors_name_the_argument_to_change(self, build, arg):
+        with pytest.raises(TopologyError) as err:
+            build()
+        assert err.value.arg == arg
+
     def test_reproduces_build_ring(self):
         ring = build_ring(6, 0.4)
         edges, weights = [], []
