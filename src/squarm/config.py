@@ -11,6 +11,7 @@ it; a value that does not fit is a ConfigError that starts with its key.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -180,6 +181,7 @@ def _require(flat: dict, key: str):
 def _build_topology(flat: dict) -> MixingMatrix:
     kind = flat["topology.kind"]
     n = flat["topology.n"]
+    _fits(flat, "topology.n", n * n)  # the mixing matrix
     try:
         if kind == "ring":
             return build_ring(n, flat["topology.self_weight"])
@@ -197,24 +199,53 @@ def _build_topology(flat: dict) -> MixingMatrix:
         raise ConfigError(f"topology.{exc.arg}: {exc}") from None
 
 
+# the memory of this machine: an array larger than it cannot be allocated
+_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _fits(flat: dict, key: str, floats: int) -> None:
+    """A ConfigError naming key if the array of floats its value sizes is
+    larger than this machine's memory; checked before it is allocated."""
+    if 8 * floats > _MEMORY_BYTES:
+        raise ConfigError(
+            f"{key}: {flat[key]!r} is too large, it sizes an array of {8 * floats:.3g} bytes "
+            f"and this machine has {_MEMORY_BYTES:.3g}"
+        )
+
+
+def _finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # two reductions, no copy of a
+
+
 def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet:
     kind = flat["objective.kind"]
     n = flat["topology.n"]
     d = flat["objective.d"]
+    path = flat["objective.dataset_path"]
+    if kind == "quadratic" or not path:
+        _fits(flat, "objective.d", d * d)  # the curvature matrix, or the smoothness estimate's
     if kind == "quadratic":
         mu, L = flat["objective.mu"], flat["objective.L"]
         if L < mu:
             raise ConfigError(f"objective.L: must be >= objective.mu={mu!r}, got {L!r}")
-        return obj_ops.quadratic_objective(
-            n,
-            d,
-            rng,
-            mu=mu,
-            L=L,
-            noise_sigma=flat["objective.noise_sigma"],
-            hetero_scale=flat["objective.hetero_scale"],
-        )
-    path = flat["objective.dataset_path"]
+        hetero_scale = flat["objective.hetero_scale"]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            obj = obj_ops.quadratic_objective(
+                n,
+                d,
+                rng,
+                mu=mu,
+                L=L,
+                noise_sigma=flat["objective.noise_sigma"],
+                hetero_scale=hetero_scale,
+            )
+        if not _finite(obj.quad_a):
+            raise ConfigError(f"objective.L: {L!r} is too large, the curvature matrix overflows")
+        if not _finite(obj.quad_b):
+            raise ConfigError(
+                f"objective.hetero_scale: {hetero_scale!r} is too large, the linear terms overflow"
+            )
+        return obj
     if path:
         try:
             features, targets = obj_ops.load_dataset(path)
@@ -231,6 +262,7 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
             alpha=flat["objective.alpha"],
             l2_reg=flat["objective.l2_reg"],
         )
+    _fits(flat, "objective.samples_per_node", n * flat["objective.samples_per_node"] * d)
     if kind == "logistic_l2":
         return obj_ops.logistic_objective(
             n,
@@ -349,6 +381,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     topo = _build_topology(flat)
     data_rng, _, _ = seed_streams(flat["seed"], flat["topology.n"])
     obj = _build_objective(flat, data_rng)
+    _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     comp = _build_compressor(flat, obj.d)
     gamma = _resolve_gamma(flat, topo, comp, obj.d)
     lr = _resolve_lr(flat, obj, topo, gamma, warnings)

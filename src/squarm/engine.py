@@ -177,11 +177,16 @@ def virtual_residual(
     return float(np.abs(x_tilde_new - predicted).max()), x_tilde_new
 
 
+# overflow on the way to a divergence is detected by the run loop, not warned about
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
 def mean_preservation_check(x_bar_half: np.ndarray, x_bar_next: np.ndarray) -> float:
     """Inf-norm change of the node average across one consensus step."""
     return float(np.abs(x_bar_next - x_bar_half).max())
 
 
+@_QUIET
 def run(cfg: RunConfig) -> RunResult:
     W = cfg.topology
     obj = cfg.objective
@@ -253,85 +258,86 @@ def run(cfg: RunConfig) -> RunResult:
     def diverged(row: MetricsRow, why: str) -> DivergenceError:
         return DivergenceError(f"{why} at t={row.t}", partial=result(rows + [row]))
 
+    @_QUIET  # a worker thread does not inherit the run's errstate
+    def pooled_phase(i: int, eta: float) -> None:
+        local_phase(i, eta)
+
     executor = ThreadPoolExecutor(max_workers=min(n, 8)) if cfg.parallel else None
-    # overflow on the way to a divergence is detected below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for t in range(cfg.T):
-                eta = eta_at(cfg.lr, t)
+    try:
+        for t in range(cfg.T):
+            eta = eta_at(cfg.lr, t)
 
-                if decaying:
-                    w_t = weighted_avg_weight(cfg.lr.a, t)
-                    wavg_acc += w_t * X.mean(axis=0)
-                    wavg_sum += w_t
+            if decaying:
+                w_t = weighted_avg_weight(cfg.lr.a, t)
+                wavg_acc += w_t * X.mean(axis=0)
+                wavg_sum += w_t
 
-                if cfg.diagnostics and constant_lr and x_tilde is None:
-                    x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
+            if cfg.diagnostics and constant_lr and x_tilde is None:
+                x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
 
-                if executor is not None:
-                    list(executor.map(local_phase, range(n), [eta] * n))
-                else:
-                    for i in range(n):
-                        local_phase(i, eta)
-                # a non-finite gradient entry makes its row of X non-finite too
-                if not np.isfinite(X).all():
-                    raise diverged(metrics_row(t), "parameters diverged")
-
-                if cfg.diagnostics:
-                    diag.max_momentum_norm = max(
-                        diag.max_momentum_norm, float(np.linalg.norm(V, axis=1).max())
-                    )
-
-                if (t + 1) % cfg.H == 0:
-                    c_t = threshold_at(cfg.threshold, t, eta)
-                    fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
-                    if cfg.diagnostics and not np.isinf(c_t):
-                        drift = X - state.Hat
-                        silent = np.ones(n, dtype=bool)
-                        silent[fired] = False
-                        over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
-                        diag.trigger_violations += int(np.count_nonzero(over))
-                    Q = np.empty((len(fired), d))
-                    for k, i in enumerate(fired):
-                        msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
-                        Q[k] = decode(msg)
-                        cost = bit_cost(cfg.compressor, d, msg)
-                        if cfg.accounting == "broadcast":
-                            bits_cum += cost
-                            messages += 1
-                        else:
-                            bits_cum += cost * out_degree[i]
-                            messages += out_degree[i]
-                    triggers += len(fired)
-                    node_ops.apply_incoming(state, fired, Q, W.w)
-                    x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
-                    node_ops.consensus_step(state, cfg.gamma, W.w)
-                    if cfg.diagnostics:
-                        diag.sync_rounds += 1
-                        diag.max_mean_dev = max(
-                            diag.max_mean_dev,
-                            mean_preservation_check(x_bar_half, X.mean(axis=0)),
-                        )
-
-                if cfg.diagnostics and constant_lr:
-                    defect, x_tilde = virtual_residual(
-                        x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
-                    )
-                    diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
-                    vres_since_eval = max(vres_since_eval, defect)
-
-                if trace is not None:
-                    trace.append(X.copy())
-
-                if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
-                    row = metrics_row(t)
-                    if not np.isfinite(row.loss):
-                        raise diverged(row, "loss diverged")
-                    rows.append(row)
-        finally:
             if executor is not None:
-                executor.shutdown(wait=True)
+                list(executor.map(pooled_phase, range(n), [eta] * n))
+            else:
+                for i in range(n):
+                    local_phase(i, eta)
+            # a non-finite gradient entry makes its row of X non-finite too
+            if not np.isfinite(X).all():
+                raise diverged(metrics_row(t), "parameters diverged")
 
+            if cfg.diagnostics:
+                diag.max_momentum_norm = max(
+                    diag.max_momentum_norm, float(np.linalg.norm(V, axis=1).max())
+                )
+
+            if (t + 1) % cfg.H == 0:
+                c_t = threshold_at(cfg.threshold, t, eta)
+                fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
+                if cfg.diagnostics and not np.isinf(c_t):
+                    drift = X - state.Hat
+                    silent = np.ones(n, dtype=bool)
+                    silent[fired] = False
+                    over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
+                    diag.trigger_violations += int(np.count_nonzero(over))
+                Q = np.empty((len(fired), d))
+                for k, i in enumerate(fired):
+                    msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
+                    Q[k] = decode(msg)
+                    cost = bit_cost(cfg.compressor, d, msg)
+                    if cfg.accounting == "broadcast":
+                        bits_cum += cost
+                        messages += 1
+                    else:
+                        bits_cum += cost * out_degree[i]
+                        messages += out_degree[i]
+                triggers += len(fired)
+                node_ops.apply_incoming(state, fired, Q, W.w)
+                x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
+                node_ops.consensus_step(state, cfg.gamma, W.w)
+                if cfg.diagnostics:
+                    diag.sync_rounds += 1
+                    diag.max_mean_dev = max(
+                        diag.max_mean_dev,
+                        mean_preservation_check(x_bar_half, X.mean(axis=0)),
+                    )
+
+            if cfg.diagnostics and constant_lr:
+                defect, x_tilde = virtual_residual(
+                    x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
+                )
+                diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
+                vres_since_eval = max(vres_since_eval, defect)
+
+            if trace is not None:
+                trace.append(X.copy())
+
+            if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
+                row = metrics_row(t)
+                if not np.isfinite(row.loss):
+                    raise diverged(row, "loss diverged")
+                rows.append(row)
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=True)
     return result(rows)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,10 @@ class TestRun:
             ),
             ("objective.dataset_path", ["--objective.kind=least_squares", "--objective.dataset_path={tmp}/missing.csv"]),
             ("objective.dataset_path", ["--objective.kind=least_squares", "--objective.dataset_path={tmp}/words.csv"]),
+            ("objective.L", ["--objective.L=1.5e308", "--T=2"]),
+            ("objective.hetero_scale", ["--objective.hetero_scale=1e308", "--T=2"]),
+            ("topology.n", ["--topology.n=10000000000", "--T=2"]),
+            ("objective.samples_per_node", ["--objective.kind=logistic_l2", "--objective.samples_per_node=100000000000"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):
@@ -224,7 +229,27 @@ class TestRun:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {key}") and "Traceback" not in proc.stderr, proc.stderr
-        assert "compressor.kind" not in proc.stderr
+        assert "compressor.kind" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key, flags",
+        [
+            ("objective.d", ["--objective.d=10000000000", "--T=2"]),
+            ("objective.batch_size", ["--objective.kind=least_squares", "--objective.batch_size=100000000000", "--T=2"]),
+        ],
+    )
+    def test_sizes_too_large_to_allocate_exit_2_before_allocating(self, tmp_path, key, flags):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "squarm", "run", "--out", str(tmp_path), *flags],
+            stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.returncode == 2, stderr
+        assert stderr.startswith(f"error: {key}") and "Traceback" not in stderr, stderr
+        assert usage.ru_maxrss < 200_000, usage.ru_maxrss  # KiB: no trial allocation of the array
 
     @pytest.mark.parametrize(
         "kind, key",

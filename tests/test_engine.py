@@ -16,7 +16,7 @@ from squarm.errors import ConfigError, DivergenceError, ParameterError
 from squarm.objective import optimum
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
-from squarm.verify import _identity_configs
+from squarm.verify import _identity_configs, identities
 
 
 def quick_config(**overrides):
@@ -193,10 +193,7 @@ class TestIdentities:
     )
     def test_mean_preservation_and_virtual_residual(self, overrides):
         cfg = quick_config(T=150, **overrides)
-        diag = run(cfg).diagnostics
-        assert diag.max_mean_dev < 1e-10
-        assert diag.max_virtual_residual < 1e-8
-        assert diag.trigger_violations == 0
+        assert {name: m for name, m in identities(run(cfg)).items() if not m.ok} == {}
 
     def test_broken_matrix_breaks_mean_preservation(self):
         # negative control: damaging one node's weight row (which breaks the
@@ -207,8 +204,7 @@ class TestIdentities:
         w = cfg.topology.w.copy()
         w[0, 1] *= 0.5
         object.__setattr__(cfg.topology, "w", w)
-        diag = run(cfg).diagnostics
-        assert diag.max_mean_dev > 1e-10
+        assert not identities(run(cfg))["mean preservation"].ok
 
     def test_momentum_norm_bound_with_clipping(self):
         for beta in (0.5, 0.9):
@@ -218,8 +214,7 @@ class TestIdentities:
                 grad_clip=1.0,
                 **{"objective.noise_sigma": 1.0, "threshold.kind": "always", "H": 5},
             )
-            diag = run(cfg).diagnostics
-            assert diag.max_momentum_norm <= 1.0 / (1.0 - beta) + 1e-9
+            assert identities(run(cfg))["momentum bound"].ok
 
 
 class TestVariantEquivalence:
@@ -410,6 +405,25 @@ class TestDivergence:
             run(cfg)
         assert err.value.partial is not None
         assert len(err.value.partial.rows) >= 1
+
+    @pytest.mark.filterwarnings("error")  # not from the start nor from a worker thread
+    @pytest.mark.parametrize("x0_scale", [1e200, 1.7e308])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_overflow_is_not_warned_about(self, parallel, x0_scale):
+        cfg = quick_config(
+            T=3,
+            parallel=parallel,
+            grad_clip=1.0,
+            x0_scale=x0_scale,
+            **{"topology.n": 4, "objective.d": 4},
+        )
+        with pytest.raises(DivergenceError):
+            run(cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weighted_average_that_overflows_is_not_warned_about(self):
+        cfg = quick_config(T=1, **{"objective.L": 1e152, "lr.kind": "auto_decaying"})
+        assert run(cfg).x_avg is not None
 
     @pytest.mark.filterwarnings("error")  # no overflow warning escapes the run
     def test_divergence_between_eval_rows_stops_at_its_step(self):
