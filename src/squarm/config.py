@@ -6,13 +6,15 @@ KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
 choices. merged rejects keys not in it and _coerce checks each value against
 it; a value that does not fit is a ConfigError that starts with its key.
+RunConfig checks its plain fields against the same table, so a RunConfig
+built directly is refused with the same errors as a config file.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -20,7 +22,6 @@ import numpy as np
 from . import objective as obj_ops
 from . import schedule as sched
 from .compress import KINDS, QUANT_KINDS, SPARSE_KINDS, CompressorSpec, omega_of
-from .engine import RunConfig, seed_streams
 from .errors import ConfigError, DataError, PartitionError, TopologyError
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
@@ -81,7 +82,7 @@ KEYS: dict[str, Key] = {
     "variant": Key(str, "full_copy", ("full_copy", "mem_efficient")),
     "accounting": Key(str, "broadcast", ("broadcast", "unicast")),
     "diagnostics": Key(bool, True),
-    "parallel": Key(bool, False),
+    "parallel": Key(bool, False, "[0, 0]"),  # false only: runs are serial
     "x0_scale": Key(float, 0.0),
     "eval_every": Key(int, UNSET, _COUNT),
     "grad_clip": Key(float, UNSET, _POSITIVE),
@@ -100,12 +101,12 @@ def merged(*layers: dict) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    """value as KEYS[key] declares it: of its type and among its valid values;
-    a ConfigError naming the key if it is not.
+def _coerce(key: str, value, spec: Key | None = None):
+    """value as spec (by default KEYS[key]) declares it: of its type and among
+    its valid values; a ConfigError naming the key if it is not.
 
     None (unset) is kept for keys without a default."""
-    spec = KEYS[key]
+    spec = KEYS[key] if spec is None else spec
     if value is None and spec.default is UNSET:
         return None
     if isinstance(spec.valid, tuple):
@@ -155,6 +156,49 @@ def _as(kind: type, key: str, value):
     if not finite:
         raise ConfigError(expected)
     return out
+
+
+# RunConfig's plain fields: the undotted keys, and gamma within gamma.value's range
+_FIELDS = {key: spec for key, spec in KEYS.items() if "." not in key} | {"gamma": KEYS["gamma.value"]}
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved experiment description."""
+
+    topology: MixingMatrix
+    objective: obj_ops.ObjectiveSet
+    compressor: CompressorSpec
+    lr: sched.LrSchedule
+    threshold: sched.ThresholdSchedule
+    gamma: float
+    H: int
+    T: int
+    beta: float
+    seed: int
+    variant: str = "full_copy"
+    accounting: str = "broadcast"
+    eval_every: int | None = None
+    diagnostics: bool = False
+    parallel: bool = False
+    grad_clip: float | None = None
+    x0_scale: float = 0.0
+    trace: bool = False
+    raw: dict = field(default_factory=dict)  # config echo for summaries
+
+    def __post_init__(self):
+        for name, spec in _FIELDS.items():
+            setattr(self, name, _coerce(name, getattr(self, name), spec))
+        if self.objective.n != self.topology.n:
+            raise ConfigError("objective and topology disagree on node count")
+
+
+def seed_streams(seed: int, n: int):
+    """(data_rng, x0_rng, per-node rngs) spawned from one master seed."""
+    root = np.random.SeedSequence(seed)
+    data_ss, x0_ss, nodes_ss = root.spawn(3)
+    node_rngs = [np.random.default_rng(s) for s in nodes_ss.spawn(n)]
+    return np.random.default_rng(data_ss), np.random.default_rng(x0_ss), node_rngs
 
 
 def _as_edge(key: str, value) -> tuple[int, int]:
@@ -330,20 +374,15 @@ def _resolve_lr(
     beta = flat["beta"]
     n, T, H = flat["topology.n"], flat["T"], flat["H"]
     if kind == "constant":
-        return sched.LrSchedule(kind="constant", eta=_require(flat, "lr.eta"), beta=beta)
+        return sched.LrSchedule(kind="constant", eta=_require(flat, "lr.eta"))
     if kind == "auto_constant":
         eta = sched.constant_lr(n, T, beta)
         min_T = sched.min_T_nonconvex(obj.L, n, beta)
         if T < min_T:
             warnings.append(f"T={T} below the non-convex admissibility minimum {min_T:.0f}")
-        return sched.LrSchedule(kind="constant", eta=eta, beta=beta)
+        return sched.LrSchedule(kind="constant", eta=eta)
     if kind == "decaying":
-        return sched.LrSchedule(
-            kind="decaying",
-            b=_require(flat, "lr.b"),
-            a=_require(flat, "lr.a"),
-            beta=beta,
-        )
+        return sched.LrSchedule(kind="decaying", b=_require(flat, "lr.b"), a=_require(flat, "lr.a"))
     # an objective that is not strongly convex leaves mu to the config
     mu = obj.mu if flat["lr.mu"] is None and obj.mu > 0 else _require(flat, "lr.mu")
     p = sched.p_of(gamma, topo.delta)

@@ -32,72 +32,31 @@ averages, norms and distances behind the metrics and diagnostics are array
 reductions.
 
 Everything is deterministic given the seed: each node owns a private random
-stream, the node-local phase may run in a thread pool, and messages are
-always applied in fixed node order.
+stream, the nodes take their local steps one after another in node order,
+and messages are always applied in fixed node order.
 
 A run diverges when the parameters stop being finite, which is checked
-after every local phase, or when a metrics row's loss does; it then raises
-DivergenceError carrying the rows so far plus one for the failing step.
+after every local phase, or when a metrics row's loss or weighted-average
+loss does; it then raises DivergenceError carrying the rows so far plus one
+for the failing step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import node as node_ops
 from . import objective as obj_ops
-from .compress import CompressorSpec, bit_cost, decode, omega_of
-from .errors import ConfigError, DivergenceError, ParameterError
-from .schedule import LrSchedule, ThresholdSchedule, eta_at, threshold_at, weighted_avg_weight
-from .topology import MixingMatrix
+from .compress import bit_cost, decode, omega_of
+from .config import RunConfig, seed_streams
+from .errors import DivergenceError, ParameterError
+from .schedule import eta_at, threshold_at, weighted_avg_weight
 
 CSV_HEADER = "t,loss,grad_norm_sq,consensus,bits_cum,messages,triggers,virtual_residual,weighted_avg_loss"
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved experiment description."""
-
-    topology: MixingMatrix
-    objective: obj_ops.ObjectiveSet
-    compressor: CompressorSpec
-    lr: LrSchedule
-    threshold: ThresholdSchedule
-    gamma: float
-    H: int
-    T: int
-    beta: float
-    seed: int
-    variant: str = "full_copy"
-    accounting: str = "broadcast"
-    eval_every: int | None = None
-    diagnostics: bool = False
-    parallel: bool = False
-    grad_clip: float | None = None
-    x0_scale: float = 0.0
-    trace: bool = False
-    raw: dict = field(default_factory=dict)  # config echo for summaries
-
-    def __post_init__(self):
-        if self.H < 1:
-            raise ConfigError("H must be >= 1")
-        if self.T < 1:
-            raise ConfigError("T must be >= 1")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigError("beta must be in [0, 1)")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError("gamma must be in (0, 1]")
-        if self.variant not in ("full_copy", "mem_efficient"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.accounting not in ("broadcast", "unicast"):
-            raise ConfigError(f"unknown accounting {self.accounting!r}")
-        if self.objective.n != self.topology.n:
-            raise ConfigError("objective and topology disagree on node count")
 
 
 @dataclass
@@ -140,14 +99,6 @@ def bits_to_seconds(bits: float, link_rate_bps: float) -> float:
     if link_rate_bps <= 0:
         raise ParameterError("link rate must be > 0")
     return bits / link_rate_bps
-
-
-def seed_streams(seed: int, n: int):
-    """(data_rng, x0_rng, per-node rngs) spawned from one master seed."""
-    root = np.random.SeedSequence(seed)
-    data_ss, x0_ss, nodes_ss = root.spawn(3)
-    node_rngs = [np.random.default_rng(s) for s in nodes_ss.spawn(n)]
-    return np.random.default_rng(data_ss), np.random.default_rng(x0_ss), node_rngs
 
 
 def initial_positions(x0_rng: np.random.Generator, n: int, d: int, scale: float) -> np.ndarray:
@@ -258,86 +209,76 @@ def run(cfg: RunConfig) -> RunResult:
     def diverged(row: MetricsRow, why: str) -> DivergenceError:
         return DivergenceError(f"{why} at t={row.t}", partial=result(rows + [row]))
 
-    @_QUIET  # a worker thread does not inherit the run's errstate
-    def pooled_phase(i: int, eta: float) -> None:
-        local_phase(i, eta)
+    for t in range(cfg.T):
+        eta = eta_at(cfg.lr, t)
 
-    executor = ThreadPoolExecutor(max_workers=min(n, 8)) if cfg.parallel else None
-    try:
-        for t in range(cfg.T):
-            eta = eta_at(cfg.lr, t)
+        if decaying:
+            w_t = weighted_avg_weight(cfg.lr.a, t)
+            wavg_acc += w_t * X.mean(axis=0)
+            wavg_sum += w_t
 
-            if decaying:
-                w_t = weighted_avg_weight(cfg.lr.a, t)
-                wavg_acc += w_t * X.mean(axis=0)
-                wavg_sum += w_t
+        if cfg.diagnostics and constant_lr and x_tilde is None:
+            x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
 
-            if cfg.diagnostics and constant_lr and x_tilde is None:
-                x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
+        for i in range(n):
+            local_phase(i, eta)
+        # a non-finite gradient entry makes its row of X non-finite too
+        if not np.isfinite(X).all():
+            raise diverged(metrics_row(t), "parameters diverged")
 
-            if executor is not None:
-                list(executor.map(pooled_phase, range(n), [eta] * n))
-            else:
-                for i in range(n):
-                    local_phase(i, eta)
-            # a non-finite gradient entry makes its row of X non-finite too
-            if not np.isfinite(X).all():
-                raise diverged(metrics_row(t), "parameters diverged")
+        if cfg.diagnostics:
+            diag.max_momentum_norm = max(
+                diag.max_momentum_norm, float(np.linalg.norm(V, axis=1).max())
+            )
 
+        if (t + 1) % cfg.H == 0:
+            c_t = threshold_at(cfg.threshold, t, eta)
+            fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
+            if cfg.diagnostics and not np.isinf(c_t):
+                drift = X - state.Hat
+                silent = np.ones(n, dtype=bool)
+                silent[fired] = False
+                over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
+                diag.trigger_violations += int(np.count_nonzero(over))
+            Q = np.empty((len(fired), d))
+            for k, i in enumerate(fired):
+                msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
+                Q[k] = decode(msg)
+                cost = bit_cost(cfg.compressor, d, msg)
+                if cfg.accounting == "broadcast":
+                    bits_cum += cost
+                    messages += 1
+                else:
+                    bits_cum += cost * out_degree[i]
+                    messages += out_degree[i]
+            triggers += len(fired)
+            node_ops.apply_incoming(state, fired, Q, W.w)
+            x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
+            node_ops.consensus_step(state, cfg.gamma, W.w)
             if cfg.diagnostics:
-                diag.max_momentum_norm = max(
-                    diag.max_momentum_norm, float(np.linalg.norm(V, axis=1).max())
+                diag.sync_rounds += 1
+                diag.max_mean_dev = max(
+                    diag.max_mean_dev,
+                    mean_preservation_check(x_bar_half, X.mean(axis=0)),
                 )
 
-            if (t + 1) % cfg.H == 0:
-                c_t = threshold_at(cfg.threshold, t, eta)
-                fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
-                if cfg.diagnostics and not np.isinf(c_t):
-                    drift = X - state.Hat
-                    silent = np.ones(n, dtype=bool)
-                    silent[fired] = False
-                    over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
-                    diag.trigger_violations += int(np.count_nonzero(over))
-                Q = np.empty((len(fired), d))
-                for k, i in enumerate(fired):
-                    msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
-                    Q[k] = decode(msg)
-                    cost = bit_cost(cfg.compressor, d, msg)
-                    if cfg.accounting == "broadcast":
-                        bits_cum += cost
-                        messages += 1
-                    else:
-                        bits_cum += cost * out_degree[i]
-                        messages += out_degree[i]
-                triggers += len(fired)
-                node_ops.apply_incoming(state, fired, Q, W.w)
-                x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
-                node_ops.consensus_step(state, cfg.gamma, W.w)
-                if cfg.diagnostics:
-                    diag.sync_rounds += 1
-                    diag.max_mean_dev = max(
-                        diag.max_mean_dev,
-                        mean_preservation_check(x_bar_half, X.mean(axis=0)),
-                    )
+        if cfg.diagnostics and constant_lr:
+            defect, x_tilde = virtual_residual(
+                x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
+            )
+            diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
+            vres_since_eval = max(vres_since_eval, defect)
 
-            if cfg.diagnostics and constant_lr:
-                defect, x_tilde = virtual_residual(
-                    x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
-                )
-                diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
-                vres_since_eval = max(vres_since_eval, defect)
+        if trace is not None:
+            trace.append(X.copy())
 
-            if trace is not None:
-                trace.append(X.copy())
-
-            if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
-                row = metrics_row(t)
-                if not np.isfinite(row.loss):
-                    raise diverged(row, "loss diverged")
-                rows.append(row)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
+            row = metrics_row(t)
+            if not np.isfinite(row.loss):
+                raise diverged(row, "loss diverged")
+            if row.weighted_avg_loss is not None and not np.isfinite(row.weighted_avg_loss):
+                raise diverged(row, "weighted average diverged")
+            rows.append(row)
     return result(rows)
 
 

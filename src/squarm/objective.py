@@ -88,18 +88,23 @@ def _sigmoid_of_neg(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_grad(obj: ObjectiveSet, a: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient at x of a sample-based kind's loss averaged over the rows
+    (a, y): a node's whole shard, or a minibatch drawn from it."""
+    if obj.kind == "logistic_l2":
+        sig = _sigmoid_of_neg(y * (a @ x))
+        return -(a.T @ (y * sig)) / len(y) + obj.l2_reg * x
+    g = a.T @ (a @ x - y) / len(y)
+    if obj.kind == "least_squares_nonconvex":
+        g = g + obj.alpha * 2.0 * x / (1.0 + x**2) ** 2
+    return g
+
+
 def local_grad(obj: ObjectiveSet, i: int, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f_i at x."""
     if obj.kind == "quadratic":
         return obj.quad_a @ x - obj.quad_b[i]
-    a, y = obj.feats[i], obj.labels[i]
-    if obj.kind in ("least_squares", "least_squares_nonconvex"):
-        g = a.T @ (a @ x - y) / len(y)
-        if obj.kind == "least_squares_nonconvex":
-            g = g + obj.alpha * 2.0 * x / (1.0 + x**2) ** 2
-        return g
-    sig = _sigmoid_of_neg(y * (a @ x))
-    return -(a.T @ (y * sig)) / len(y) + obj.l2_reg * x
+    return _sample_grad(obj, obj.feats[i], obj.labels[i], x)
 
 
 def loss(obj: ObjectiveSet, x: np.ndarray) -> float:
@@ -135,14 +140,7 @@ def stochastic_grad(obj: ObjectiveSet, i: int, x: np.ndarray, rng: np.random.Gen
     if m == 0:
         raise DataError(f"node {i} has no local samples")
     batch = rng.integers(0, m, size=obj.batch_size)
-    ab, yb = a[batch], y[batch]
-    if obj.kind in ("least_squares", "least_squares_nonconvex"):
-        g = ab.T @ (ab @ x - yb) / obj.batch_size
-        if obj.kind == "least_squares_nonconvex":
-            g = g + obj.alpha * 2.0 * x / (1.0 + x**2) ** 2
-        return g
-    sig = _sigmoid_of_neg(yb * (ab @ x))
-    return -(ab.T @ (yb * sig)) / obj.batch_size + obj.l2_reg * x
+    return _sample_grad(obj, a[batch], y[batch], x)
 
 
 def optimum(obj: ObjectiveSet) -> tuple[np.ndarray, float] | None:
@@ -287,9 +285,7 @@ def from_shards(
     labels_t = tuple(np.asarray(y, dtype=float) for y in labels)
     if kind == "logistic_l2":
         labels_t = tuple(np.where(y > 0, 1.0, -1.0) for y in labels_t)
-        L = max(
-            float(np.linalg.eigvalsh(a.T @ a / len(a)).max()) for a in feats_t
-        ) / 4.0 + l2_reg
+        L = _ls_smoothness(feats_t) / 4.0 + l2_reg
         mu = l2_reg
     elif kind == "least_squares":
         L = _ls_smoothness(feats_t)

@@ -46,7 +46,6 @@ class LrSchedule:
     eta: float | None = None
     b: float | None = None
     a: float | None = None
-    beta: float = 0.0
 
     def __post_init__(self):
         if self.kind == "constant":
@@ -59,8 +58,6 @@ class LrSchedule:
                 raise ParameterError("decaying lr needs a >= 1")
         else:
             raise ParameterError(f"unknown lr kind {self.kind!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ParameterError("beta must be in [0, 1)")
 
 
 def eta_at(sched: LrSchedule, t: int) -> float:
@@ -134,7 +131,7 @@ def decaying_schedule(mu: float, beta: float, a: float) -> LrSchedule:
     """LrSchedule form of decaying_lr with b = 16 (1 - beta) / mu."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
-    return LrSchedule(kind="decaying", b=16.0 * (1.0 - beta) / mu, a=a, beta=beta)
+    return LrSchedule(kind="decaying", b=16.0 * (1.0 - beta) / mu, a=a)
 
 
 def _check_ranges(delta: float, omega: float, lam: float) -> None:

@@ -7,8 +7,7 @@ the algorithm (the stochastic gradient, the compressor, the schedules),
 the seed layout, so both sides draw identical random numbers, and the
 engine's record types and identity checks. Metric
 rows use the per-node sums of the losses and gradients, not the closed
-forms the package evaluates. It runs serially; the package's `parallel`
-flag does not change results.
+forms the package evaluates.
 
 Do not change this file to make the package pass: it is the reference.
 """

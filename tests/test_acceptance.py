@@ -367,19 +367,13 @@ def test_criterion_13_determinism():
         "seed": 113,
         "lr.kind": "auto_constant",
         "x0_scale": 1.0,
-        "parallel": True,
     }
     csvs = []
     for _ in range(2):
         cfg, _ = build_run_config(merged(base))
         csvs.append(metrics_csv(run(cfg)))
-    cfg_serial, _ = build_run_config(merged(base, {"parallel": False}))
-    serial_csv = metrics_csv(run(cfg_serial))
-    ok = csvs[0] == csvs[1] == serial_csv
-    assert _report(
-        13, "determinism", ok, f"parallel repeat identical: {csvs[0] == csvs[1]}, "
-        f"parallel == serial: {csvs[0] == serial_csv}"
-    )
+    ok = csvs[0] == csvs[1]
+    assert _report(13, "determinism", ok, f"repeat identical: {ok}")
 
 
 def test_criterion_14_closed_form_weight_sum():

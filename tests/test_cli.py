@@ -177,6 +177,26 @@ class TestRun:
         assert summary["final"]["t"] == int(rows[-1]["t"])
         assert summary["final"]["loss"] is None
 
+    def test_weighted_average_that_overflows_exits_1_with_partial_outputs(self, tmp_path):
+        # the weights (a + t)^2 overflow, so the weighted average is inf / inf
+        out = tmp_path / "wavg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--objective.L=1.0474849945267654e+152",
+             "--lr.kind=auto_decaying", "--x0_scale=1.0", "--T=1", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "run diverged: weighted average diverged at t=0" in proc.stderr
+        rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+        assert [row["t"] for row in rows] == ["0"]
+
+        def reject(token):
+            raise AssertionError(f"summary.json holds the non-JSON token {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["final"]["t"] == 0
+
     def test_bad_values_name_their_key(self, tmp_path, capsys):
         bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2], str: [5], list: [5]}
         for key, spec in KEYS.items():
@@ -218,6 +238,7 @@ class TestRun:
             ("objective.hetero_scale", ["--objective.hetero_scale=1e308", "--T=2"]),
             ("topology.n", ["--topology.n=10000000000", "--T=2"]),
             ("objective.samples_per_node", ["--objective.kind=logistic_l2", "--objective.samples_per_node=100000000000"]),
+            ("parallel", ["--parallel=true", "--T=5"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):

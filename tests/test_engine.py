@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory
 from squarm.compress import CompressorSpec
-from squarm.config import build_run_config, merged
+from squarm.config import KEYS, build_run_config, merged
 from squarm.engine import (
     RunConfig,
     bits_to_seconds,
@@ -42,6 +45,24 @@ def sync_steps(T, H):
     rows = run(quick_config(T=T, H=H, eval_every=1, **{"threshold.kind": "always"})).rows
     before = [0] + [r.messages for r in rows]
     return [r.t for r, m in zip(rows, before) if r.messages > m]
+
+
+# values RunConfig must refuse: out of range, ill-typed or non-finite
+INVALID = {
+    "H": [0, 2.5, None],
+    "T": [0, -1, "abc"],
+    "beta": [1.0, -0.1, math.nan],
+    "seed": [-1, 1.5],
+    "variant": ["bogus", None],
+    "accounting": ["bogus"],
+    "diagnostics": ["yes", 2],
+    "parallel": [True, 1],
+    "x0_scale": [math.inf, math.nan, "abc"],
+    "eval_every": [0, -3],
+    "grad_clip": [0.0, -1.0, math.inf],
+    "trace": ["yes", 2],
+    "gamma": [0.0, 1.5, math.inf],
+}
 
 
 class TestSyncIndices:
@@ -122,6 +143,18 @@ class TestRunBasics:
     def test_T_zero_rejected(self):
         with pytest.raises(ConfigError, match="T"):
             quick_config(T=0)
+
+    @pytest.mark.parametrize("name", [key for key in KEYS if "." not in key] + ["gamma"])
+    def test_direct_fields_are_checked_against_keys(self, name):
+        cfg = quick_config(T=5)
+        for value in INVALID[name]:
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(cfg, **{name: value})
+            assert str(err.value).startswith(f"{name}:"), (value, str(err.value))
+
+    def test_direct_fields_are_coerced_like_config_values(self):
+        cfg = dataclasses.replace(quick_config(T=5), T=5.0, beta=0, diagnostics=1)
+        assert (type(cfg.T), type(cfg.beta), cfg.diagnostics) == (int, float, True)
 
     def test_never_threshold_pure_local(self):
         cfg = quick_config(**{"threshold.kind": "never", "H": 5})
@@ -373,25 +406,6 @@ class TestDeterminism:
             outs.append(metrics_csv(run(cfg)))
         assert outs[0] == outs[1]
 
-    def test_parallel_matches_serial_bytes(self):
-        base = {
-            "topology.n": 6,
-            "objective.d": 10,
-            "objective.noise_sigma": 0.3,
-            "compressor.kind": "qsgd",
-            "compressor.s": 4,
-            "threshold.kind": "always",
-            "H": 2,
-            "beta": 0.5,
-            "T": 120,
-            "seed": 9,
-            "lr.kind": "auto_constant",
-            "x0_scale": 1.0,
-        }
-        cfg_s, _ = build_run_config(merged(base))
-        cfg_p, _ = build_run_config(merged(base, {"parallel": True}))
-        assert metrics_csv(run(cfg_s)) == metrics_csv(run(cfg_p))
-
 
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -406,13 +420,11 @@ class TestDivergence:
         assert err.value.partial is not None
         assert len(err.value.partial.rows) >= 1
 
-    @pytest.mark.filterwarnings("error")  # not from the start nor from a worker thread
+    @pytest.mark.filterwarnings("error")  # not from the start of the run either
     @pytest.mark.parametrize("x0_scale", [1e200, 1.7e308])
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_overflow_is_not_warned_about(self, parallel, x0_scale):
+    def test_overflow_is_not_warned_about(self, x0_scale):
         cfg = quick_config(
             T=3,
-            parallel=parallel,
             grad_clip=1.0,
             x0_scale=x0_scale,
             **{"topology.n": 4, "objective.d": 4},
@@ -422,8 +434,11 @@ class TestDivergence:
 
     @pytest.mark.filterwarnings("error")
     def test_weighted_average_that_overflows_is_not_warned_about(self):
+        # the weights (a + t)^2 overflow, so the weighted average is inf / inf
         cfg = quick_config(T=1, **{"objective.L": 1e152, "lr.kind": "auto_decaying"})
-        assert run(cfg).x_avg is not None
+        with pytest.raises(DivergenceError, match="weighted average diverged") as err:
+            run(cfg)
+        assert [r.t for r in err.value.partial.rows] == [0]
 
     @pytest.mark.filterwarnings("error")  # no overflow warning escapes the run
     def test_divergence_between_eval_rows_stops_at_its_step(self):
