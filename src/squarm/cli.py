@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import build_run_config, merged
-from .engine import RunResult, derived_constants, metrics_csv, run, summary_json
+from .engine import FINAL_FIELDS, RunResult, csv_line, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
 from .presets import PRESETS, preset
 from .verify import SUITES, run_suites
@@ -84,14 +84,27 @@ def _run(flat: dict, label: str = "") -> tuple[RunResult, bool]:
         return exc.partial, True
 
 
-def _execute(flat: dict, out_dir: str) -> int:
+def _write(out_dir: str, files: dict[str, str]) -> None:
+    """Create out_dir if it is missing and write each named file in it; a
+    path that cannot be written is a usage error naming it."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise SquarmError(f"--out: {exc}") from None
+
+
+def cmd_run(args, extras) -> int:
+    flat = _assemble(args, extras)
+    _write(args.out, {})  # a bad --out fails before the run, not after it
     result, diverged = _run(flat)
-    _write_outputs(result, out_dir)
+    _write(args.out, {"metrics.csv": metrics_csv(result), "summary.json": summary_json(result)})
     if diverged:
         return FAIL_EXIT
-    cfg = result.config
     last = result.rows[-1]
-    derived = derived_constants(cfg)
+    derived = derived_constants(result.config)
     print(f"final t={last.t} loss={last.loss:.6g} consensus={last.consensus:.6g} bits={result.total_bits}")
     print(
         "derived: "
@@ -101,17 +114,6 @@ def _execute(flat: dict, out_dir: str) -> int:
         )
     )
     return 0
-
-
-def _write_outputs(result, out_dir: str) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics_csv(result))
-    (out / "summary.json").write_text(summary_json(result))
-
-
-def cmd_run(args, extras) -> int:
-    return _execute(_assemble(args, extras), args.out)
 
 
 def cmd_verify(args, extras) -> int:
@@ -145,24 +147,22 @@ def cmd_sweep(args, extras) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise SquarmError("sweep needs a non-empty comma-separated --values list")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["value,t,loss,grad_norm_sq,consensus,bits_cum,messages,triggers"]
+    _write(args.out, {})
+    lines = [csv_line(("value", *FINAL_FIELDS))]
     code = 0
-    for value in values:
-        point = dict(flat)
-        point[axis_key] = _parse_value(value)
-        result, diverged = _run(point, f" ({args.axis}={value})")
-        if diverged:  # keep the points finished so far
-            code = FAIL_EXIT
-            break
-        last = result.rows[-1]
-        lines.append(
-            f"{value},{last.t},{last.loss!r},{last.grad_norm_sq!r},"
-            f"{last.consensus!r},{last.bits_cum},{last.messages},{last.triggers}"
-        )
-        print(f"{args.axis}={value}: loss={last.loss:.6g} bits={last.bits_cum}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    try:
+        for value in values:
+            point = dict(flat)
+            point[axis_key] = _parse_value(value)
+            result, diverged = _run(point, f" ({args.axis}={value})")
+            if diverged:
+                code = FAIL_EXIT
+                break
+            last = result.rows[-1]
+            lines.append(csv_line((value, *(getattr(last, name) for name in FINAL_FIELDS))))
+            print(f"{args.axis}={value}: loss={last.loss:.6g} bits={last.bits_cum}")
+    finally:  # a divergent or refused point keeps the points finished so far
+        _write(args.out, {"sweep.csv": "\n".join(lines) + "\n"})
     return code
 
 

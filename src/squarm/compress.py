@@ -86,7 +86,6 @@ class CompressedMessage:
     support: np.ndarray | None
     values: np.ndarray
     scale: float | None
-    bit_cost: int
 
 
 def _check_sparsifier(spec: CompressorSpec, d: int) -> int:
@@ -167,7 +166,6 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> C
         support=support,
         values=values,
         scale=scale,
-        bit_cost=_bit_cost_formula(spec, d),
     )
 
 

@@ -6,8 +6,9 @@ KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
 choices. merged rejects keys not in it and _coerce checks each value against
 it; a value that does not fit is a ConfigError that starts with its key.
-RunConfig checks its plain fields against the same table, so a RunConfig
-built directly is refused with the same errors as a config file.
+RunConfig checks its plain fields against the same table and takes the
+defaults of those that have one from it, so a RunConfig built directly is
+refused with the same errors as a config file and defaults like one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cache, partial
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -176,14 +178,15 @@ class RunConfig:
     T: int
     beta: float
     seed: int
-    variant: str = "full_copy"
-    accounting: str = "broadcast"
-    eval_every: int | None = None
-    diagnostics: bool = False
-    parallel: bool = False
-    grad_clip: float | None = None
-    x0_scale: float = 0.0
-    trace: bool = False
+    # one default per key: the field's is its KEYS default
+    variant: str = KEYS["variant"].default
+    accounting: str = KEYS["accounting"].default
+    eval_every: int | None = KEYS["eval_every"].default
+    diagnostics: bool = KEYS["diagnostics"].default
+    parallel: bool = KEYS["parallel"].default
+    grad_clip: float | None = KEYS["grad_clip"].default
+    x0_scale: float = KEYS["x0_scale"].default
+    trace: bool | None = KEYS["trace"].default
     raw: dict = field(default_factory=dict)  # config echo for summaries
 
     def __post_init__(self):
@@ -292,20 +295,28 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
         return obj
     if path:
         try:
-            features, targets = obj_ops.load_dataset(path)
-            shards_x, shards_y = obj_ops.partition_heterogeneous(
-                features, targets, n, flat["objective.partition_mode"], rng
-            )
+            # numpy's note on an empty file and an overflow are the errors below
+            with catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                simplefilter("ignore", UserWarning)
+                features, targets = obj_ops.load_dataset(path)
+                if not (_finite(features) and _finite(targets)):
+                    raise DataError(f"{path} holds a value that is not finite")
+                shards_x, shards_y = obj_ops.partition_heterogeneous(
+                    features, targets, n, flat["objective.partition_mode"], rng
+                )
+                obj = obj_ops.from_shards(
+                    kind,
+                    shards_x,
+                    shards_y,
+                    batch_size=flat["objective.batch_size"],
+                    alpha=flat["objective.alpha"],
+                    l2_reg=flat["objective.l2_reg"],
+                )
+                if not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
+                    raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
         except (DataError, PartitionError) as exc:
             raise ConfigError(f"objective.dataset_path: {exc}") from None
-        return obj_ops.from_shards(
-            kind,
-            shards_x,
-            shards_y,
-            batch_size=flat["objective.batch_size"],
-            alpha=flat["objective.alpha"],
-            l2_reg=flat["objective.l2_reg"],
-        )
+        return obj
     _fits(flat, "objective.samples_per_node", n * flat["objective.samples_per_node"] * d)
     if kind == "logistic_l2":
         return obj_ops.logistic_objective(
@@ -426,8 +437,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     lr = _resolve_lr(flat, obj, topo, gamma, warnings)
     threshold = _build_threshold(flat)
     if lr.kind == "decaying":
-        p = gamma * topo.delta / 8.0
-        if lr.a < 5 * flat["H"] / p:
+        if lr.a < 5 * flat["H"] / sched.p_of(gamma, topo.delta):
             warnings.append(
                 "lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail"
             )
@@ -438,8 +448,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
         lr=lr,
         threshold=threshold,
         gamma=gamma,
-        # the undotted keys are RunConfig fields; unset ones keep the field's default
-        **{key: value for key, value in flat.items() if "." not in key and value is not None},
+        **{key: value for key, value in flat.items() if "." not in key},  # the undotted keys
         raw={k: raw[k] for k in sorted(raw)},
     )
     return cfg, warnings

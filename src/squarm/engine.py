@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -54,14 +54,15 @@ from . import objective as obj_ops
 from .compress import bit_cost, decode, omega_of
 from .config import RunConfig, seed_streams
 from .errors import DivergenceError, ParameterError
-from .schedule import eta_at, threshold_at, weighted_avg_weight
-
-CSV_HEADER = "t,loss,grad_norm_sq,consensus,bits_cum,messages,triggers,virtual_residual,weighted_avg_loss"
+from .schedule import eta_at, p_of, threshold_at, weighted_avg_weight
 
 
 @dataclass
 class MetricsRow:
-    """State snapshot recorded after completing iteration t."""
+    """State snapshot recorded after completing iteration t.
+
+    The fields, in order, are metrics.csv's columns. The ones without a
+    default are in every row; the others are set only by some runs."""
 
     t: int
     loss: float
@@ -70,8 +71,14 @@ class MetricsRow:
     bits_cum: int
     messages: int
     triggers: int
-    virtual_residual: float | None
-    weighted_avg_loss: float | None
+    virtual_residual: float | None = None  # constant step sizes with diagnostics on
+    weighted_avg_loss: float | None = None  # decaying step sizes
+
+
+ROW_FIELDS = tuple(f.name for f in fields(MetricsRow))
+# the fields every row has: summary.json's final block and sweep.csv's columns
+FINAL_FIELDS = tuple(f.name for f in fields(MetricsRow) if f.default is MISSING)
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 @dataclass
@@ -286,40 +293,20 @@ def run(cfg: RunConfig) -> RunResult:
 # emission
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def csv_line(values) -> str:
+    """One CSV line: floats round-trip exactly, None is an empty cell."""
+    return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def metrics_csv(result: RunResult) -> str:
-    lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    r.t,
-                    r.loss,
-                    r.grad_norm_sq,
-                    r.consensus,
-                    r.bits_cum,
-                    r.messages,
-                    r.triggers,
-                    r.virtual_residual,
-                    r.weighted_avg_loss,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (csv_line(getattr(r, name) for name in ROW_FIELDS) for r in result.rows)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def derived_constants(cfg: RunConfig) -> dict:
     return {
         "gamma": cfg.gamma,
-        "p": cfg.gamma * cfg.topology.delta / 8.0,
+        "p": p_of(cfg.gamma, cfg.topology.delta),
         "delta": cfg.topology.delta,
         "lambda": cfg.topology.lambda_dev,
         "omega": omega_of(cfg.compressor, cfg.objective.d),
@@ -342,24 +329,10 @@ def summary_json(result: RunResult) -> str:
     """The run's summary as strict JSON; a divergent run's non-finite values are null."""
     last = result.rows[-1]
     payload = {
-        "final": {
-            "t": last.t,
-            "loss": last.loss,
-            "grad_norm_sq": last.grad_norm_sq,
-            "consensus": last.consensus,
-            "bits_cum": last.bits_cum,
-            "messages": last.messages,
-            "triggers": last.triggers,
-        },
+        "final": {name: getattr(last, name) for name in FINAL_FIELDS},
         "total_bits": result.total_bits,
         "derived": derived_constants(result.config),
-        "diagnostics": {
-            "max_mean_dev": result.diagnostics.max_mean_dev,
-            "max_virtual_residual": result.diagnostics.max_virtual_residual,
-            "trigger_violations": result.diagnostics.trigger_violations,
-            "max_momentum_norm": result.diagnostics.max_momentum_norm,
-            "sync_rounds": result.diagnostics.sync_rounds,
-        },
+        "diagnostics": asdict(result.diagnostics),
         "config": result.config.raw,
     }
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"

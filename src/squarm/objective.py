@@ -218,10 +218,8 @@ def mean_shift_quadratic(n: int, d: int, centers: np.ndarray, noise_sigma: float
 
 
 def _ls_smoothness(feats: tuple[np.ndarray, ...]) -> float:
-    out = 0.0
-    for a in feats:
-        out = max(out, float(np.linalg.eigvalsh(a.T @ a / len(a)).max()))
-    return out
+    # np.max, not max: a shard whose Gram matrix overflows makes L nan, not skipped
+    return float(np.max([np.linalg.eigvalsh(a.T @ a / len(a)).max() for a in feats]))
 
 
 def least_squares_objective(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from squarm.cli import main
 from squarm.config import KEYS, UNSET
+from squarm.engine import Diagnostics
 from test_config_properties import bounds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -144,6 +146,29 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = list(csv.DictReader((out / "metrics.csv").open()))
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
+
+    @pytest.mark.parametrize(
+        "content",
+        ["1,2,3\n4,nan,6\n7,8,9\n", "1,2,3\n4,1e300,6\n7,8,9\n", "1,2,3\n4,5,1e300\n7,8,9\n", ""],
+        ids=["nan", "overflowing_feature", "overflowing_label", "empty"],
+    )
+    def test_dataset_that_is_not_finite_or_empty_exits_2(self, tmp_path, content):
+        data = tmp_path / "data.csv"
+        data.write_text(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--objective.kind=least_squares",
+             f"--objective.dataset_path={data}", "--topology.n=3", "--T=5", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        # one line: no warning before the error
+        assert proc.stderr.startswith("error: objective.dataset_path: ") and proc.stderr.count("\n") == 1
+
+    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["run", "--T=5", "--out", str(out)]) == 2
+        assert f"error: --out: [Errno 21] Is a directory: '{out / 'summary.json'}'" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, base_config, monkeypatch):
         cfg = json.loads(base_config.read_text())
@@ -368,6 +393,40 @@ class TestSweep:
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [r["value"] for r in rows] == ["1"]
         assert "run diverged (T=100)" in capsys.readouterr().err
+
+
+    def test_refused_point_exits_2_and_keeps_finished_points(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "T", "--values", "5,0", "--out", str(out)]) == 2
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [r["value"] for r in rows] == ["5"]
+        assert "error: T: must be in [1, inf), got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--T=5"], ["sweep", "--axis", "T", "--values", "5"]], ids=["run", "sweep"])
+def test_out_under_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr("squarm.cli.run", lambda cfg: pytest.fail("a run started"))
+    assert main([*command, "--out", str(blocker / "sub")]) == 2
+    assert f"error: --out: [Errno 20] Not a directory: '{blocker / 'sub'}'" in capsys.readouterr().err
+
+
+def test_run_and_sweep_outputs_agree(tmp_path, base_config):
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--config", str(base_config), "--out", str(run_out)]) == 0
+    args = ["sweep", "--config", str(base_config), "--axis", "T", "--values", "80", "--out", str(sweep_out)]
+    assert main(args) == 0
+    last = list(csv.DictReader((run_out / "metrics.csv").read_text().splitlines()))[-1]
+    summary = json.loads((run_out / "summary.json").read_text())
+    (point,) = csv.DictReader((sweep_out / "sweep.csv").read_text().splitlines())
+    assert point.pop("value") == "80"
+    assert summary["final"].keys() == point.keys()
+    for name, value in point.items():
+        assert value == last[name], name
+        assert float(value) == summary["final"][name], name
+    assert last["t"] == "79"
+    assert summary["diagnostics"].keys() == {f.name for f in dataclasses.fields(Diagnostics)}
 
 
 class TestPresets:

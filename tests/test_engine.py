@@ -156,6 +156,12 @@ class TestRunBasics:
         cfg = dataclasses.replace(quick_config(T=5), T=5.0, beta=0, diagnostics=1)
         assert (type(cfg.T), type(cfg.beta), cfg.diagnostics) == (int, float, True)
 
+    def test_field_defaults_are_the_keys_defaults(self):
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(RunConfig) if f.default is not dataclasses.MISSING
+        }
+        assert defaults == {name: KEYS[name].default for name in defaults}
+
     def test_never_threshold_pure_local(self):
         cfg = quick_config(**{"threshold.kind": "never", "H": 5})
         result = run(cfg)
