@@ -204,6 +204,14 @@ def seed_streams(seed: int, n: int):
     return np.random.default_rng(data_ss), np.random.default_rng(x0_ss), node_rngs
 
 
+def data_stream(seed: int) -> np.random.Generator:
+    """seed_streams(seed, n)[0], the objective's stream, without spawning the
+    x0 and node streams: a SeedSequence's first child is the same whatever
+    number of children is spawned with it."""
+    (data_ss,) = np.random.SeedSequence(seed).spawn(1)
+    return np.random.default_rng(data_ss)
+
+
 def _as_edge(key: str, value) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{key}: expected [i, j] pairs, got {value!r}")
@@ -429,8 +437,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     flat = {key: _coerce(key, flat.get(key)) for key in KEYS}
     warnings: list[str] = []
     topo = _build_topology(flat)
-    data_rng, _, _ = seed_streams(flat["seed"], flat["topology.n"])
-    obj = _build_objective(flat, data_rng)
+    obj = _build_objective(flat, data_stream(flat["seed"]))
     _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     comp = _build_compressor(flat, obj.d)
     gamma = _resolve_gamma(flat, topo, comp, obj.d)

@@ -13,10 +13,16 @@ For symmetric W with lambda_i <= 1, lambda_dev coincides with ||W - I||_2;
 this module assumes symmetry throughout and does not support asymmetric
 weights. A connected, aperiodic weighting gives delta in (0, 1] and
 lambda_dev in (0, 2].
+
+Rings and complete graphs take both quantities in closed form from their
+known spectra; only a custom graph calls the O(n^3) eigensolver
+(spectral_quantities, numpy's eigvalsh), which `squarm verify` keeps as the
+oracle of the closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +40,21 @@ STOCHASTIC_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Validated gossip weight matrix with cached spectral quantities."""
+    """Validated gossip weight matrix with its spectral quantities and
+    neighbour lists.
+
+    delta and lambda_dev are closed form for rings and complete graphs and
+    come from eigvalsh (spectral_quantities) for custom graphs."""
 
     n: int
     w: np.ndarray
     delta: float
     lambda_dev: float
+    adjacency: tuple[tuple[int, ...], ...]  # adjacency[i]: the j != i with w[i][j] > 0, ascending
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Indices j != i with w[i][j] > 0."""
-        row = self.w[i]
-        return tuple(int(j) for j in np.nonzero(row)[0] if j != i)
+        return self.adjacency[i]
 
 
 def spectral_quantities(w: np.ndarray) -> tuple[float, float]:
@@ -78,13 +88,17 @@ def power_deviation(w: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(np.linalg.matrix_power(w, k) - j, 2))
 
 
-def _validate(w: np.ndarray) -> MixingMatrix:
+def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> MixingMatrix:
+    """w checked and frozen in place, with its neighbour lists and its
+    (delta, lambda_dev): the builder's closed form if given, else eigvalsh's."""
     # the error args name build_custom's arguments; ring and complete matrices always pass
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise TopologyError("weight matrix must be square")
     n = w.shape[0]
-    if not np.array_equal(w, w.T):
+    rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
+    # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T
+    if not np.array_equal(w[rows, cols], w[cols, rows]):
         raise SymmetryError("weight matrix is not symmetric")
     if (w < 0).any():
         raise StochasticityError("weight matrix has negative entries", "self_weights")
@@ -95,27 +109,45 @@ def _validate(w: np.ndarray) -> MixingMatrix:
             f"rows/columns must sum to 1 (max deviation {max(row_dev, col_dev):.3e})",
             "self_weights",
         )
-    if not _connected(w):
+    adjacency = _adjacency(n, rows, cols)
+    if not _connected(adjacency):
         raise ConnectivityError("communication graph is not connected", "edges")
-    delta, lambda_dev = spectral_quantities(w)
+    delta, lambda_dev = spectral_quantities(w) if spectrum is None else spectrum
     if delta <= 0:
         raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", "self_weights")
-    w = w.copy()
-    w.setflags(write=False)
-    return MixingMatrix(n=n, w=w, delta=delta, lambda_dev=lambda_dev)
+    w.setflags(write=False)  # every builder hands over a matrix of its own
+    return MixingMatrix(n=n, w=w, delta=delta, lambda_dev=lambda_dev, adjacency=adjacency)
 
 
-def _connected(w: np.ndarray) -> bool:
-    n = w.shape[0]
+def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Every node's neighbour list, ascending, from the row-major nonzeros of w."""
+    off = rows != cols
+    cols = cols[off].tolist()
+    bounds = np.searchsorted(rows[off], np.arange(n + 1)).tolist()
+    return tuple(tuple(cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _connected(adjacency: tuple[tuple[int, ...], ...]) -> bool:
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(w[i])[0]:
+        for j in adjacency[frontier.pop()]:
             if j not in seen:
-                seen.add(int(j))
-                frontier.append(int(j))
-    return len(seen) == n
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(adjacency)
+
+
+def _ring_spectrum(n: int, self_weight: float) -> tuple[float, float]:
+    """(delta, lambda_dev) of build_ring(n, self_weight) in closed form.
+
+    The ring is circulant with eigenvalues s + (1 - s) cos(2 pi k / n): the
+    largest below 1 is at k = 1 and the lowest at k = floor(n / 2), which is
+    2s - 1 for even n."""
+    s = self_weight
+    second = s + (1.0 - s) * math.cos(2.0 * math.pi / n)
+    lowest = s + (1.0 - s) * math.cos(2.0 * math.pi * (n // 2) / n)
+    return 1.0 - max(abs(second), abs(lowest)), 1.0 - lowest
 
 
 def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
@@ -123,26 +155,28 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
     between its two ring neighbors.
 
     The resulting matrix is circulant, so its eigenvalues are
-    self_weight + (1 - self_weight) * cos(2 pi k / n).
+    self_weight + (1 - self_weight) * cos(2 pi k / n); delta and lambda_dev
+    are read from them (_ring_spectrum).
     """
     if n < 3:
         raise TopologyError(f"ring needs n >= 3, got n={n}", "n")
     if not 0.0 < self_weight < 1.0:
         raise TopologyError(f"self_weight must be in (0, 1), got {self_weight}", "self_weight")
     w = np.zeros((n, n))
+    i = np.arange(n)
     side = (1.0 - self_weight) / 2.0
-    for i in range(n):
-        w[i, i] = self_weight
-        w[i, (i - 1) % n] += side
-        w[i, (i + 1) % n] += side
-    return _validate(w)
+    w[i, i] = self_weight
+    w[i, (i - 1) % n] = side  # n >= 3: the two neighbours are distinct
+    w[i, (i + 1) % n] = side
+    return _validate(w, _ring_spectrum(n, self_weight))
 
 
 def build_complete(n: int) -> MixingMatrix:
-    """Complete graph with uniform weights 1/n; delta = lambda_dev = 1."""
+    """Complete graph with uniform weights 1/n; delta = lambda_dev = 1,
+    since W = J has eigenvalues 1 and 0."""
     if n < 2:
         raise TopologyError(f"complete graph needs n >= 2, got n={n}", "n")
-    return _validate(np.full((n, n), 1.0 / n))
+    return _validate(np.full((n, n), 1.0 / n), (1.0, 1.0))
 
 
 def build_custom(

@@ -22,7 +22,14 @@ from . import compress as comp
 from . import schedule as sched
 from .config import build_run_config, merged
 from .engine import RunResult, run
-from .topology import build_complete, build_custom, build_ring, power_deviation
+from .topology import (
+    MixingMatrix,
+    build_complete,
+    build_custom,
+    build_ring,
+    power_deviation,
+    spectral_quantities,
+)
 
 CONTRACTION_SLACK = 0.02  # Monte-Carlo slack of a contraction estimate over 1 - omega
 SIGN_RESIDUAL_TOL = 1e-9  # relative error of the scaled-sign residual identity
@@ -82,6 +89,20 @@ def ring_power_deviation(n: int) -> Measure:
     w = build_ring(n, 1.0 / 3.0)
     worst = max(abs(power_deviation(w.w, k) - (1.0 - w.delta) ** k) for k in range(11))
     return Measure(worst, POWER_DEVIATION_TOL, worst < POWER_DEVIATION_TOL)
+
+
+# the graphs whose closed-form spectra the spectral suite holds to eigvalsh:
+# odd and even rings (even n has lowest eigenvalue 2s - 1) and complete graphs
+RING_SIZES = (3, 4, 5, 8, 9, 32, 33, 128, 129, 1024)
+RING_SELF_WEIGHTS = (0.05, 1.0 / 3.0, 0.5, 0.9)
+COMPLETE_SIZES = (2, 5, 64)
+
+
+def closed_form_spectrum(w: MixingMatrix) -> Measure:
+    """Worst error of w's closed-form (delta, lambda_dev) against eigvalsh's."""
+    delta, lambda_dev = spectral_quantities(w.w)
+    err = max(abs(w.delta - delta), abs(w.lambda_dev - lambda_dev))
+    return Measure(err, CLOSED_FORM_TOL, err < CLOSED_FORM_TOL)
 
 
 def j_minus_i(n: int) -> Measure:
@@ -165,12 +186,13 @@ def spectral_suite() -> list[Check]:
     for n in (4, 8, 16):
         checks.append(_measured(f"ring n={n} power deviation", ring_power_deviation(n)))
         checks.append(_measured(f"n={n} ||J - I|| = 1", j_minus_i(n)))
-    cw = build_complete(8)
-    checks.append((
-        "complete graph (delta, lambda) = (1, 1)",
-        abs(cw.delta - 1.0) < CLOSED_FORM_TOL and abs(cw.lambda_dev - 1.0) < CLOSED_FORM_TOL,
-        f"({cw.delta}, {cw.lambda_dev})",
-    ))
+    for n in RING_SIZES:
+        for s in RING_SELF_WEIGHTS:
+            m = closed_form_spectrum(build_ring(n, s))
+            checks.append(_measured(f"ring n={n} s={s:.3g} closed-form spectrum = eigvalsh", m))
+    for n in COMPLETE_SIZES:
+        m = closed_form_spectrum(build_complete(n))
+        checks.append(_measured(f"complete n={n} (delta, lambda) = (1, 1) = eigvalsh", m))
     ring = build_ring(6, 0.4)
     edges = [(i, (i + 1) % 6) for i in range(6)]
     rebuilt = build_custom(6, edges, [ring.w[i, j] for i, j in edges], list(np.diag(ring.w)))

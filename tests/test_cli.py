@@ -114,7 +114,7 @@ class TestRun:
             )
             == 0
         )
-        rows = list(csv.DictReader((out / "metrics.csv").open()))
+        rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
         assert rows[-1]["t"] == "4"
 
     def test_dataset_file_objective(self, tmp_path):
@@ -144,7 +144,7 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "dsout"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "metrics.csv").open()))
+        rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
 
     @pytest.mark.parametrize(
@@ -315,6 +315,12 @@ class TestRun:
         assert main(["run", "--out", str(tmp_path), "--T=1", *kind.split()]) == 2
         assert capsys.readouterr().err == f"error: missing config key {key!r}\n"
 
+    def test_disconnected_custom_graph_names_its_edges(self, tmp_path, capsys):
+        flags = ["--topology.kind=custom", "--topology.n=4", "--topology.edges=[[0,1],[2,3]]",
+                 "--topology.edge_weights=[0.5,0.5]", "--topology.self_weights=[0.5,0.5,0.5,0.5]"]
+        assert main(["run", "--out", str(tmp_path), "--T=2", *flags]) == 2
+        assert capsys.readouterr().err == "error: topology.edges: communication graph is not connected\n"
+
     def test_custom_topology_lists_are_shape_checked(self, tmp_path, capsys):
         custom = ["run", "--out", str(tmp_path), "--T=2", "--topology.kind=custom", "--topology.n=3",
                   "--topology.edges=[[0,1],[1,2]]", "--topology.edge_weights=[0.5,0.5]",
@@ -358,7 +364,7 @@ class TestSweep:
             ]
         )
         assert code == 0
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [r["value"] for r in rows] == ["1", "5", "20"]
         # aggregate parses back as numbers (round trip)
         for r in rows:

@@ -7,7 +7,7 @@ import pytest
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory
 from squarm.compress import CompressorSpec
-from squarm.config import KEYS, build_run_config, merged
+from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
 from squarm.engine import (
     RunConfig,
     bits_to_seconds,
@@ -16,7 +16,7 @@ from squarm.engine import (
     summary_json,
 )
 from squarm.errors import ConfigError, DivergenceError, ParameterError
-from squarm.objective import optimum
+from squarm.objective import optimum, quadratic_objective
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
 from squarm.verify import _identity_configs, identities
@@ -411,6 +411,20 @@ class TestDeterminism:
             cfg, _ = build_run_config(flat)
             outs.append(metrics_csv(run(cfg)))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n", [3, 128])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_data_stream_is_the_first_seed_stream(self, seed, n):
+        data_rng, _, _ = seed_streams(seed, n)
+        assert np.array_equal(data_stream(seed).random(64), data_rng.random(64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_quadratic_is_built_from_the_first_seed_stream(self, seed):
+        cfg = quick_config(seed=seed)
+        data_rng, _, _ = seed_streams(seed, 8)
+        obj = quadratic_objective(8, 12, data_rng, mu=0.5, L=4.0, noise_sigma=0.1)
+        assert np.array_equal(cfg.objective.quad_a, obj.quad_a)
+        assert np.array_equal(cfg.objective.quad_b, obj.quad_b)
 
 
 class TestDivergence:

@@ -1,10 +1,15 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from squarm import verify
 from squarm.errors import ConnectivityError, StochasticityError, SymmetryError, TopologyError
 from squarm.topology import (
+    _validate,
     build_complete,
     build_custom,
     build_ring,
@@ -83,6 +88,8 @@ class TestBuildCustom:
     def test_two_node_path(self):
         w = build_custom(2, [(0, 1)], [0.5], [0.5, 0.5])
         assert np.allclose(w.w, build_complete(2).w, atol=0)
+        assert w.adjacency == ((1,), (0,))
+        assert w.delta == pytest.approx(1.0, abs=1e-12)
 
     def test_ring4_half(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -100,8 +107,9 @@ class TestBuildCustom:
             build_custom(3, [(0, 1), (1, 2)], [0.5, 0.5], [0.5, 0.5, 0.5])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ConnectivityError):
+        with pytest.raises(ConnectivityError) as err:
             build_custom(4, [(0, 1), (2, 3)], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5])
+        assert err.value.arg == "edges"
 
     @pytest.mark.parametrize(
         "build, arg",
@@ -159,6 +167,73 @@ class TestSpectralQuantities:
             )
 
 
+NO_EIGENSOLVER = """
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("O(n^3) spectral call in ring or complete set-up")
+
+np.linalg.eigvalsh = np.linalg.eigh = np.linalg.eigvals = refuse
+from squarm.topology import build_complete, build_ring
+build_ring(4096)
+build_complete(64)
+"""
+
+
+class TestClosedFormSpectra:
+    """Rings and complete graphs carry closed-form (delta, lambda_dev), held
+    to eigvalsh by the same check as `squarm verify --suite spectral`; only a
+    custom graph is decomposed."""
+
+    @pytest.mark.parametrize("s", verify.RING_SELF_WEIGHTS)
+    @pytest.mark.parametrize("n", verify.RING_SIZES)
+    def test_ring_matches_eigvalsh(self, n, s):
+        m = verify.closed_form_spectrum(build_ring(n, s))
+        assert m.ok, m
+
+    @pytest.mark.parametrize("n", verify.COMPLETE_SIZES)
+    def test_complete_matches_eigvalsh(self, n):
+        m = verify.closed_form_spectrum(build_complete(n))
+        assert m.ok, m
+
+    def test_no_spectral_decomposition(self):
+        # in a child process: the 128 MB matrix would raise this process's peak
+        # RSS, which the `squarm run` children of later tests inherit and measure
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_EIGENSOLVER], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_custom_graph_calls_eigvalsh(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        build_custom(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0.25] * 4, [0.5] * 4)
+        assert shapes == [(4, 4)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_ring(7, 0.4),
+        lambda: build_complete(5),
+        # a path 0-1-2-3-4 with a chord 0-3
+        lambda: build_custom(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)], [0.25] * 5, [0.5, 0.5, 0.5, 0.25, 0.75]),
+    ],
+    ids=["ring", "complete", "custom"],
+)
+def test_neighbors_are_the_off_diagonal_nonzeros(build):
+    w = build()
+    for i in range(w.n):
+        assert w.neighbors(i) == tuple(int(j) for j in np.flatnonzero(w.w[i]) if j != i)
+
+
 class TestPowerDeviation:
     def test_k0_is_one(self):
         w = build_ring(8, 1 / 3)
@@ -179,6 +254,19 @@ class TestPowerDeviation:
         w = build_ring(n, s)
         for k in range(11):
             assert abs(power_deviation(w.w, k) - (1 - w.delta) ** k) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [[0.5, 0.5], [0.4, 0.6]],
+        [[0.6, 0.4, 0.0], [0.4, 0.3, 0.3], [0.3, 0.0, 0.7]],  # w[2][0] > 0 = w[0][2]
+    ],
+    ids=["unequal_pair", "one_sided_edge"],
+)
+def test_asymmetric_matrix_rejected(w):
+    with pytest.raises(SymmetryError):
+        _validate(np.array(w))
 
 
 def test_matrix_is_readonly():
