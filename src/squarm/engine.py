@@ -26,10 +26,13 @@ G/(1-beta).
 Node state lives in (n, d) arrays (see squarm.node). What is per node in
 the algorithm stays one call per node, in node order: the stochastic
 gradient, the local step, the trigger test and encoding, each drawing from
-the node's own random stream. Delivery of the round's messages and the
-gossip correction are one call each per synchronization round, and the
-averages, norms and distances behind the metrics and diagnostics are array
-reductions.
+the node's own random stream. For the quadratic kind, every node's exact
+gradient comes from one product with the shared curvature matrix per step
+(objective.shared_curvature_grads), and each node's stochastic-gradient
+call only adds its noise; a metrics row's loss and gradient share one
+product too. Delivery of the round's messages and the gossip correction
+are one call each per synchronization round, and the averages, norms and
+distances behind the metrics and diagnostics are array reductions.
 
 Everything is deterministic given the seed: each node owns a private random
 stream, the nodes take their local steps one after another in node order,
@@ -174,8 +177,8 @@ def run(cfg: RunConfig) -> RunResult:
     x_tilde = None
     vres_since_eval = 0.0
 
-    def local_phase(i: int, eta: float) -> None:
-        g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i])
+    def local_phase(i: int, eta: float, exact: np.ndarray | None) -> None:
+        g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i], exact)
         if cfg.grad_clip is not None:
             g = obj_ops.clip_to_norm(g, cfg.grad_clip)
         node_ops.local_step(state, i, g, eta, cfg.beta)
@@ -184,11 +187,11 @@ def run(cfg: RunConfig) -> RunResult:
     def metrics_row(t: int) -> MetricsRow:
         nonlocal vres_since_eval
         xb = X.mean(axis=0)
-        grad = obj_ops.full_grad_global(obj, xb)
+        loss, grad = obj_ops.loss_and_grad(obj, xb)
         dev = X - xb
         row = MetricsRow(
             t=t,
-            loss=obj_ops.loss(obj, xb),
+            loss=loss,
             grad_norm_sq=float(grad @ grad),
             consensus=float(np.vdot(dev, dev)),
             bits_cum=bits_cum,
@@ -227,8 +230,11 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.diagnostics and constant_lr and x_tilde is None:
             x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
 
+        # node i's gradient reads only row i, which no earlier node's local
+        # step touches, so one product before the loop serves every node
+        exact = obj_ops.shared_curvature_grads(obj, X)
         for i in range(n):
-            local_phase(i, eta)
+            local_phase(i, eta, None if exact is None else exact[i])
         # a non-finite gradient entry makes its row of X non-finite too
         if not np.isfinite(X).all():
             raise diverged(metrics_row(t), "parameters diverged")

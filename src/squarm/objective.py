@@ -12,7 +12,10 @@ quadratic
     eigendecomposition reads them back), and the global optimum solves
     A x* = b_bar in closed form. Heterogeneity enters through the per-node
     linear terms. The stochastic gradient adds i.i.d. Gaussian noise of scale
-    noise_sigma to the exact gradient.
+    noise_sigma to the exact gradient. A run reads the shared A once per
+    step: shared_curvature_grads gives every node's exact gradient from one
+    product X A^T, and each node's stochastic_grad call then only adds the
+    node's noise.
 
 least_squares
     f_i(x) = 1/(2 m_i) sum_j (a_j^T x - y_j)^2 over node-local samples;
@@ -107,13 +110,18 @@ def local_grad(obj: ObjectiveSet, i: int, x: np.ndarray) -> np.ndarray:
     return _sample_grad(obj, obj.feats[i], obj.labels[i], x)
 
 
+def _quad_loss(obj: ObjectiveSet, x: np.ndarray, ax: np.ndarray) -> float:
+    # 0.5 x^T A x - b_bar^T x + c_bar, given ax = A x
+    return float(0.5 * x @ ax - obj.quad_b.mean(axis=0) @ x + obj.quad_const.mean())
+
+
 def loss(obj: ObjectiveSet, x: np.ndarray) -> float:
     """Global objective f(x) = (1/n) sum_i f_i(x).
 
     For the quadratic kind this is 0.5 x^T A x - b_bar^T x + c_bar, one
     matrix-vector product instead of n."""
     if obj.kind == "quadratic":
-        return float(0.5 * x @ (obj.quad_a @ x) - obj.quad_b.mean(axis=0) @ x + obj.quad_const.mean())
+        return _quad_loss(obj, x, obj.quad_a @ x)
     return sum(_local_loss(obj, i, x) for i in range(obj.n)) / obj.n
 
 
@@ -128,13 +136,47 @@ def full_grad_global(obj: ObjectiveSet, x: np.ndarray) -> np.ndarray:
     return g / obj.n
 
 
-def stochastic_grad(obj: ObjectiveSet, i: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased estimate of grad f_i(x)."""
+def loss_and_grad(obj: ObjectiveSet, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(loss(obj, x), full_grad_global(obj, x)), bit for bit; the quadratic
+    kind computes both from one product A x."""
     if obj.kind == "quadratic":
-        g = obj.quad_a @ x - obj.quad_b[i]
+        ax = obj.quad_a @ x
+        return _quad_loss(obj, x, ax), ax - obj.quad_b.mean(axis=0)
+    return loss(obj, x), full_grad_global(obj, x)
+
+
+def shared_curvature_grads(obj: ObjectiveSet, X: np.ndarray) -> np.ndarray | None:
+    """Every node's exact gradient at its own row of X (row i is A x_i - b_i)
+    from one product that reads the shared curvature matrix once; None for
+    the sample-based kinds, which share no matrix.
+
+    Row i of X A^T is A x_i for any A, symmetric or not; A^T reaches BLAS as
+    a transpose flag, not a copy. A row may differ from local_grad's
+    matrix-vector product by rounding."""
+    if obj.kind != "quadratic":
+        return None
+    return X @ obj.quad_a.T - obj.quad_b
+
+
+def stochastic_grad(
+    obj: ObjectiveSet,
+    i: int,
+    x: np.ndarray,
+    rng: np.random.Generator,
+    exact: np.ndarray | None = None,
+) -> np.ndarray:
+    """Unbiased estimate of grad f_i(x).
+
+    For the quadratic kind, exact may hand in the exact gradient A x - b_i
+    already computed (row i of shared_curvature_grads); the call then only
+    adds node i's noise, drawn from rng exactly as without it."""
+    if obj.kind == "quadratic":
+        g = obj.quad_a @ x - obj.quad_b[i] if exact is None else exact
         if obj.noise_sigma > 0.0:
             g = g + obj.noise_sigma * rng.standard_normal(obj.d)
         return g
+    if exact is not None:
+        raise ParameterError(f"a precomputed exact gradient needs the quadratic kind, not {obj.kind!r}")
     a, y = obj.feats[i], obj.labels[i]
     m = len(y)
     if m == 0:

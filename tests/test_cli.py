@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,18 @@ from squarm.engine import Diagnostics
 from test_config_properties import bounds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# `python -c PEAK_RSS_WRAPPER PATH ARGS...` runs `squarm ARGS...` and, however
+# it ends, writes the VmHWM line of its own /proc/self/status to PATH
+PEAK_RSS_WRAPPER = """
+import sys
+from squarm.cli import main
+try:
+    code = main(sys.argv[2:])
+finally:
+    with open("/proc/self/status") as status, open(sys.argv[1], "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
 
 @pytest.fixture
@@ -285,17 +296,18 @@ class TestRun:
         ],
     )
     def test_sizes_too_large_to_allocate_exit_2_before_allocating(self, tmp_path, key, flags):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "squarm", "run", "--out", str(tmp_path), *flags],
-            stderr=subprocess.PIPE, text=True, env={"PYTHONPATH": str(SRC)},
+        # the child reports its own peak RSS (VmHWM, which starts afresh at
+        # exec); a child's ru_maxrss would include this process's peak
+        peak = tmp_path / "vmhwm"
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_WRAPPER, str(peak), "run", "--out", str(tmp_path), *flags],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
         )
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        stderr = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.returncode == 2, stderr
-        assert stderr.startswith(f"error: {key}") and "Traceback" not in stderr, stderr
-        assert usage.ru_maxrss < 200_000, usage.ru_maxrss  # KiB: no trial allocation of the array
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {key}") and "Traceback" not in proc.stderr, proc.stderr
+        label, kib, unit = peak.read_text().split()
+        assert (label, unit) == ("VmHWM:", "kB")
+        assert int(kib) < 200_000, kib  # KiB: no trial allocation of the array
 
     @pytest.mark.parametrize(
         "kind, key",

@@ -331,17 +331,64 @@ class TestFrozenReference:
         assert [(r.t, r.bits_cum, r.messages, r.triggers) for r in new.rows] == [
             (r.t, r.bits_cum, r.messages, r.triggers) for r in old.rows
         ]
+        # two things round differently from the per-node loop: full_copy's
+        # dense W @ Hat sums in another order, and a quadratic's gradients are
+        # rows of one X A^T product instead of one matrix-vector product each
+        bitwise = variant == "mem_efficient" and cfg.objective.kind != "quadratic"
         for a, b in zip(new.trace, old.trace, strict=True):
-            if variant == "mem_efficient":
+            if bitwise:
                 assert np.array_equal(a, b)
             else:
-                # dense W @ Hat sums in another order than the per-node loop
                 assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
         # closed-form and array-reduced metrics against the per-node sums
         for a, b in zip(new.rows, old.rows):
             for field in ("loss", "grad_norm_sq", "consensus"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (a.t, field, x, y)
+
+
+class CountingMatrix(np.ndarray):
+    """A curvature matrix that logs the shape of the other operand of every
+    matrix product it takes part in."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
+        if ufunc is np.matmul:
+            CountingMatrix.log.append(next(x.shape for x in inputs if not isinstance(x, CountingMatrix)))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestSharedCurvatureProduct:
+    @pytest.mark.parametrize("lr", ["auto_constant", "auto_decaying"])
+    def test_one_product_per_step_and_per_metrics_row(self, lr, monkeypatch):
+        cfg = quick_config(T=40, eval_every=3, **{"lr.kind": lr})
+        n, d = cfg.topology.n, cfg.objective.d
+        counted = dataclasses.replace(
+            cfg, objective=dataclasses.replace(cfg.objective, quad_a=cfg.objective.quad_a.view(CountingMatrix))
+        )
+        monkeypatch.setattr(CountingMatrix, "log", [])
+        result = run(counted)
+        weighted = sum(r.weighted_avg_loss is not None for r in result.rows)
+        assert (lr == "auto_decaying") == (weighted > 0)
+        # one product with all n rows per step; one A x per metrics row, plus
+        # one for its weighted-average loss; no node takes a product of its own
+        log = CountingMatrix.log
+        assert len(log) == cfg.T + len(result.rows) + weighted
+        assert log.count((n, d)) == cfg.T and log.count((d,)) == len(result.rows) + weighted
+        assert metrics_csv(result) == metrics_csv(run(cfg))
+
+    @pytest.mark.parametrize("kind", ["least_squares", "least_squares_nonconvex", "logistic_l2"])
+    def test_sample_based_kinds_stay_bitwise_on_the_per_node_path(self, kind):
+        cfg = quick_config(
+            T=40, variant="mem_efficient", trace=True,
+            **{"objective.kind": kind, "compressor.kind": "top_k", "compressor.k": 4, "H": 4, "beta": 0.9},
+        )
+        new, old = run(cfg), ref.run(cfg)
+        assert [(r.t, r.bits_cum, r.triggers) for r in new.rows] == [(r.t, r.bits_cum, r.triggers) for r in old.rows]
+        for a, b in zip(new.trace, old.trace, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestConsensusContraction:

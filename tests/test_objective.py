@@ -4,6 +4,7 @@ import pytest
 from oracles import central_diff_grad
 from squarm.errors import DataError, ParameterError, PartitionError
 from squarm.objective import (
+    ObjectiveSet,
     clip_to_norm,
     from_shards,
     full_grad_global,
@@ -12,10 +13,12 @@ from squarm.objective import (
     local_grad,
     logistic_objective,
     loss,
+    loss_and_grad,
     mean_shift_quadratic,
     optimum,
     partition_heterogeneous,
     quadratic_objective,
+    shared_curvature_grads,
     stochastic_grad,
 )
 
@@ -103,6 +106,63 @@ class TestStochasticity:
             [stochastic_grad(obj, 0, x, rng) - exact for _ in range(100_000)]
         )
         assert draws.var() == pytest.approx(sigma**2, rel=0.05)
+
+
+class TestSharedCurvature:
+    @staticmethod
+    def nonsymmetric_quadratic(rng, n=5, d=7):
+        # built directly: nothing downstream of the helper may assume A = A^T
+        a = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
+        assert np.abs(a - a.T).max() > 0.1
+        return ObjectiveSet(
+            kind="quadratic", n=n, d=d, L=1.0, mu=1.0, noise_sigma=0.3,
+            quad_a=a, quad_b=rng.standard_normal((n, d)), quad_const=rng.standard_normal(n),
+        )
+
+    def test_rows_are_each_nodes_exact_gradient(self):
+        rng = np.random.default_rng(11)
+        for obj in (quadratic_objective(6, 40, rng, mu=0.5, L=4.0), self.nonsymmetric_quadratic(rng)):
+            X = rng.standard_normal((obj.n, obj.d))
+            rows = shared_curvature_grads(obj, X)
+            assert rows.shape == (obj.n, obj.d)
+            for i in range(obj.n):
+                want = local_grad(obj, i, X[i])
+                assert np.abs(rows[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_none_for_sample_based_kinds(self):
+        rng = np.random.default_rng(12)
+        for obj in all_kinds(rng)[1:]:
+            assert shared_curvature_grads(obj, np.zeros((obj.n, obj.d))) is None
+
+    def test_precomputed_row_gets_the_same_noise(self):
+        rng = np.random.default_rng(13)
+        for obj in (quadratic_objective(4, 9, rng, noise_sigma=0.4), self.nonsymmetric_quadratic(rng)):
+            X = rng.standard_normal((obj.n, obj.d))
+            rows = shared_curvature_grads(obj, X)
+            for i in range(obj.n):
+                plain, given = np.random.default_rng(i), np.random.default_rng(i)
+                noise = obj.noise_sigma * np.random.default_rng(i).standard_normal(obj.d)
+                g_plain = stochastic_grad(obj, i, X[i], plain)
+                g_given = stochastic_grad(obj, i, X[i], given, exact=rows[i])
+                # the same draws, in the same order, each added to its exact gradient
+                assert np.array_equal(g_plain, local_grad(obj, i, X[i]) + noise)
+                assert np.array_equal(g_given, rows[i] + noise)
+                assert plain.bit_generator.state == given.bit_generator.state
+
+    def test_precomputed_row_refused_for_sample_based_kinds(self):
+        rng = np.random.default_rng(14)
+        obj = all_kinds(rng)[1]
+        with pytest.raises(ParameterError, match="quadratic"):
+            stochastic_grad(obj, 0, np.zeros(obj.d), rng, exact=np.zeros(obj.d))
+
+    def test_loss_and_grad_is_both_calls_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for obj in (*all_kinds(rng), self.nonsymmetric_quadratic(rng)):
+            for _ in range(5):
+                x = rng.standard_normal(obj.d)
+                value, grad = loss_and_grad(obj, x)
+                assert value == loss(obj, x)
+                assert np.array_equal(grad, full_grad_global(obj, x))
 
 
 class TestOptimum:
