@@ -37,7 +37,7 @@ class Key:
     valid: str | tuple[str, ...] = ""  # an interval such as "(0, 1]", or the choices
 
 
-_POSITIVE, _COUNT, _UNIT = "(0, inf)", "[1, inf)", "(0, 1]"
+_POSITIVE, _NONNEGATIVE, _COUNT, _UNIT = "(0, inf)", "[0, inf)", "[1, inf)", "(0, 1]"
 
 KEYS: dict[str, Key] = {
     "topology.kind": Key(str, "ring", ("ring", "complete", "custom")),
@@ -48,14 +48,14 @@ KEYS: dict[str, Key] = {
     "topology.self_weights": Key(list),
     "objective.kind": Key(str, "quadratic", ("quadratic", "least_squares", "least_squares_nonconvex", "logistic_l2")),
     "objective.d": Key(int, 20, _COUNT),
-    "objective.noise_sigma": Key(float, 0.0),
+    "objective.noise_sigma": Key(float, 0.0, _NONNEGATIVE),
     "objective.mu": Key(float, 1.0, _POSITIVE),
     "objective.L": Key(float, 10.0, _POSITIVE),
     "objective.hetero_scale": Key(float, 1.0),
     "objective.samples_per_node": Key(int, 32, _COUNT),
     "objective.batch_size": Key(int, 1, _COUNT),
-    "objective.alpha": Key(float, 0.1),
-    "objective.l2_reg": Key(float, 0.01),
+    "objective.alpha": Key(float, 0.1, _NONNEGATIVE),
+    "objective.l2_reg": Key(float, 0.01, _NONNEGATIVE),
     "objective.partition_mode": Key(str, "iid", ("iid", "sorted_by_label")),
     "objective.dataset_path": Key(str),
     "compressor.kind": Key(str, "identity", KINDS),
@@ -72,15 +72,15 @@ KEYS: dict[str, Key] = {
     "gamma.value": Key(float, 1.0, _UNIT),
     "gamma.omega": Key(float, UNSET, _UNIT),
     "threshold.kind": Key(str, "always", ("always", "never", "poly", "const_eta", "piecewise")),
-    "threshold.c0": Key(float, UNSET, "[0, inf)"),
+    "threshold.c0": Key(float, UNSET, _NONNEGATIVE),
     "threshold.epsilon": Key(float, UNSET, _UNIT),
-    "threshold.init": Key(float, UNSET, "[0, inf)"),
-    "threshold.step": Key(float, UNSET, "[0, inf)"),
+    "threshold.init": Key(float, UNSET, _NONNEGATIVE),
+    "threshold.step": Key(float, UNSET, _NONNEGATIVE),
     "threshold.period": Key(int, UNSET, _COUNT),
     "H": Key(int, 1, _COUNT),
     "T": Key(int, 1000, _COUNT),
     "beta": Key(float, 0.0, "[0, 1)"),
-    "seed": Key(int, 0, "[0, inf)"),
+    "seed": Key(int, 0, _NONNEGATIVE),
     "variant": Key(str, "full_copy", ("full_copy", "mem_efficient")),
     "accounting": Key(str, "broadcast", ("broadcast", "unicast")),
     "diagnostics": Key(bool, True),
@@ -301,49 +301,32 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
                 f"objective.hetero_scale: {hetero_scale!r} is too large, the linear terms overflow"
             )
         return obj
-    if path:
-        try:
-            # numpy's note on an empty file and an overflow are the errors below
-            with catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-                simplefilter("ignore", UserWarning)
+    samples = flat["objective.samples_per_node"]
+    if not path:
+        _fits(flat, "objective.samples_per_node", n * samples * d)
+    try:
+        # numpy's note on an empty file and an overflow are the errors below
+        with catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            simplefilter("ignore", UserWarning)
+            if path:
                 features, targets = obj_ops.load_dataset(path)
                 if not (_finite(features) and _finite(targets)):
                     raise DataError(f"{path} holds a value that is not finite")
-                shards_x, shards_y = obj_ops.partition_heterogeneous(
-                    features, targets, n, flat["objective.partition_mode"], rng
-                )
-                obj = obj_ops.from_shards(
-                    kind,
-                    shards_x,
-                    shards_y,
-                    batch_size=flat["objective.batch_size"],
-                    alpha=flat["objective.alpha"],
-                    l2_reg=flat["objective.l2_reg"],
-                )
-                if not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
-                    raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
-        except (DataError, PartitionError) as exc:
-            raise ConfigError(f"objective.dataset_path: {exc}") from None
-        return obj
-    _fits(flat, "objective.samples_per_node", n * flat["objective.samples_per_node"] * d)
-    if kind == "logistic_l2":
-        return obj_ops.logistic_objective(
-            n,
-            d,
-            flat["objective.samples_per_node"],
-            rng,
-            l2_reg=flat["objective.l2_reg"],
-            batch_size=flat["objective.batch_size"],
-        )
-    return obj_ops.least_squares_objective(
-        n,
-        d,
-        flat["objective.samples_per_node"],
-        rng,
-        batch_size=flat["objective.batch_size"],
-        alpha=flat["objective.alpha"],
-        nonconvex=(kind == "least_squares_nonconvex"),
-    )
+                shards = obj_ops.partition_heterogeneous(features, targets, n, flat["objective.partition_mode"], rng)
+            else:
+                shards = obj_ops.synthetic_shards(kind, n, d, samples, rng)
+            obj = obj_ops.from_shards(
+                kind,
+                *shards,
+                batch_size=flat["objective.batch_size"],
+                alpha=flat["objective.alpha"],
+                l2_reg=flat["objective.l2_reg"],
+            )
+            if path and not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
+                raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
+    except (DataError, PartitionError) as exc:  # only a dataset file raises these
+        raise ConfigError(f"objective.dataset_path: {exc}") from None
+    return obj
 
 
 def _build_compressor(flat: dict, d: int) -> CompressorSpec:

@@ -152,7 +152,8 @@ def run(cfg: RunConfig) -> RunResult:
     W = cfg.topology
     obj = cfg.objective
     n, d = W.n, obj.d
-    out_degree = [len(W.neighbors(i)) for i in range(n)]
+    # the copies of one message a node's send makes: one broadcast, or one per neighbour
+    fanout = [1] * n if cfg.accounting == "broadcast" else [len(W.neighbors(i)) for i in range(n)]
 
     _, x0_rng, node_rngs = seed_streams(cfg.seed, n)
     state = node_ops.make_state(initial_positions(x0_rng, n, d, cfg.x0_scale), cfg.variant)
@@ -257,13 +258,8 @@ def run(cfg: RunConfig) -> RunResult:
             for k, i in enumerate(fired):
                 msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
                 Q[k] = decode(msg)
-                cost = bit_cost(cfg.compressor, d, msg)
-                if cfg.accounting == "broadcast":
-                    bits_cum += cost
-                    messages += 1
-                else:
-                    bits_cum += cost * out_degree[i]
-                    messages += out_degree[i]
+                bits_cum += bit_cost(cfg.compressor, d, msg) * fanout[i]
+                messages += fanout[i]
             triggers += len(fired)
             node_ops.apply_incoming(state, fired, Q, W.w)
             x_bar_half = X.mean(axis=0) if cfg.diagnostics else None

@@ -56,13 +56,6 @@ class NoOptimumError(SquarmError):
     """The closed-form optimum does not exist (singular system)."""
 
 
-class TheoremConsistencyError(SquarmError):
-    """A derived quantity violates a bound it must satisfy by construction.
-
-    Raising this indicates a transcription bug in a formula, not bad input.
-    """
-
-
 class ConfigError(SquarmError):
     """A run configuration is malformed.
 

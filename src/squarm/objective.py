@@ -30,6 +30,10 @@ least_squares_nonconvex
     least squares plus alpha * sum_j x_j^2 / (1 + x_j^2), a smooth
     bounded-gradient regularizer that makes the objective non-convex while
     keeping L finite (the regularizer's curvature is bounded by 2 alpha).
+
+The three sample-based kinds are built one way: from_shards takes per-node
+(features, labels) shards, drawn by synthetic_shards or read from a dataset
+file by load_dataset and split by partition_heterogeneous.
 """
 
 from __future__ import annotations
@@ -264,48 +268,27 @@ def _ls_smoothness(feats: tuple[np.ndarray, ...]) -> float:
     return float(np.max([np.linalg.eigvalsh(a.T @ a / len(a)).max() for a in feats]))
 
 
-def least_squares_objective(
+def synthetic_shards(
+    kind: str,
     n: int,
     d: int,
     samples_per_node: int,
     rng: np.random.Generator,
-    label_noise: float = 0.1,
-    batch_size: int = 1,
-    alpha: float = 0.0,
-    nonconvex: bool = False,
-) -> ObjectiveSet:
-    feats, labels = [], []
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """n nodes' shards of samples_per_node standard-normal feature rows a,
+    labelled a^T x_true plus Gaussian noise, for from_shards(kind, ...).
+
+    rng draws x_true, then each node's feature block and its label noise in
+    node order. The noise scale is 0.5 for logistic_l2, whose labels
+    from_shards turns into signs, and 0.1 for the least-squares kinds."""
+    noise = 0.5 if kind == "logistic_l2" else 0.1
     x_true = rng.standard_normal(d)
+    feats, labels = [], []
     for _ in range(n):
         a = rng.standard_normal((samples_per_node, d))
-        y = a @ x_true + label_noise * rng.standard_normal(samples_per_node)
         feats.append(a)
-        labels.append(y)
-    return from_shards(
-        "least_squares_nonconvex" if nonconvex else "least_squares",
-        feats,
-        labels,
-        batch_size=batch_size,
-        alpha=alpha,
-    )
-
-
-def logistic_objective(
-    n: int,
-    d: int,
-    samples_per_node: int,
-    rng: np.random.Generator,
-    l2_reg: float = 0.01,
-    batch_size: int = 1,
-) -> ObjectiveSet:
-    feats, labels = [], []
-    x_true = rng.standard_normal(d)
-    for _ in range(n):
-        a = rng.standard_normal((samples_per_node, d))
-        y = np.where(a @ x_true + 0.5 * rng.standard_normal(samples_per_node) > 0, 1.0, -1.0)
-        feats.append(a)
-        labels.append(y)
-    return from_shards("logistic_l2", feats, labels, batch_size=batch_size, l2_reg=l2_reg)
+        labels.append(a @ x_true + noise * rng.standard_normal(samples_per_node))
+    return feats, labels
 
 
 def from_shards(

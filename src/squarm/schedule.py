@@ -12,9 +12,9 @@ factor, lam = max_i (1 - lambda_i(W))):
 gamma_strong <= omega holds on the whole valid range, and the consensus
 contraction coefficient p = gamma delta / 8 satisfies the crude bound
 p >= delta^2 omega / 644 whenever gamma came from gamma_strong (the
-denominator above is at most 161 = 644/4). gamma_relaxed can exceed 1 on a
-thin corner of the domain (small delta ~ lam with omega near 1), so it is
-clamped to 1.
+denominator above is at most 161 = 644/4); verify.gamma_bounds checks both
+on random draws. gamma_relaxed can exceed 1 on a thin corner of the domain
+(small delta ~ lam with omega near 1), so it is clamped to 1.
 
 Learning rates: constant eta = (1 - beta) sqrt(n / T), or decaying
 eta_t = 16 (1 - beta) / (mu (a + t)) with
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, TheoremConsistencyError
+from .errors import ParameterError
 
 NEVER = math.inf  # sentinel threshold: the trigger test always fails
 
@@ -159,19 +159,9 @@ def gamma_strong(delta: float, omega: float, lam: float) -> float:
     return (2.0 * delta * omega) / denom
 
 
-def p_of(gamma: float, delta: float, omega: float | None = None) -> float:
-    """Consensus contraction coefficient p = gamma delta / 8.
-
-    When omega is supplied (meaning gamma came from gamma_strong), the crude
-    lower bound p >= delta^2 omega / 644 is asserted; a violation indicates a
-    transcribed-formula bug, not bad input.
-    """
-    p = gamma * delta / 8.0
-    if omega is not None and p < delta**2 * omega / 644.0:
-        raise TheoremConsistencyError(
-            f"p={p:.6e} below delta^2 omega / 644 = {delta**2 * omega / 644.0:.6e}"
-        )
-    return p
+def p_of(gamma: float, delta: float) -> float:
+    """Consensus contraction coefficient p = gamma delta / 8."""
+    return gamma * delta / 8.0
 
 
 def _squared(x: float) -> float:

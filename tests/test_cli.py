@@ -275,6 +275,7 @@ class TestRun:
             ("topology.n", ["--topology.n=10000000000", "--T=2"]),
             ("objective.samples_per_node", ["--objective.kind=logistic_l2", "--objective.samples_per_node=100000000000"]),
             ("parallel", ["--parallel=true", "--T=5"]),
+            ("objective.noise_sigma", ["--objective.noise_sigma=-0.5", "--T=5"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):

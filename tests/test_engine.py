@@ -473,6 +473,23 @@ class TestDeterminism:
         assert np.array_equal(cfg.objective.quad_a, obj.quad_a)
         assert np.array_equal(cfg.objective.quad_b, obj.quad_b)
 
+    @pytest.mark.parametrize(
+        "kind, label_noise", [("least_squares", 0.1), ("least_squares_nonconvex", 0.1), ("logistic_l2", 0.5)]
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sample_shards_are_drawn_from_the_first_seed_stream(self, seed, kind, label_noise):
+        cfg = quick_config(seed=seed, **{"objective.kind": kind, "objective.samples_per_node": 5})
+        rng = data_stream(seed)
+        x_true = rng.standard_normal(12)
+        assert len(cfg.objective.feats) == len(cfg.objective.labels) == 8
+        for a, y in zip(cfg.objective.feats, cfg.objective.labels):
+            want_a = rng.standard_normal((5, 12))
+            want_y = want_a @ x_true + label_noise * rng.standard_normal(5)
+            if kind == "logistic_l2":
+                want_y = np.where(want_y > 0, 1.0, -1.0)
+            assert np.array_equal(a, want_a)
+            assert np.array_equal(y, want_y)
+
 
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,10 +8,8 @@ from squarm.objective import (
     clip_to_norm,
     from_shards,
     full_grad_global,
-    least_squares_objective,
     load_dataset,
     local_grad,
-    logistic_objective,
     loss,
     loss_and_grad,
     mean_shift_quadratic,
@@ -20,15 +18,18 @@ from squarm.objective import (
     quadratic_objective,
     shared_curvature_grads,
     stochastic_grad,
+    synthetic_shards,
 )
 
 
 def all_kinds(rng):
     return [
         quadratic_objective(4, 6, rng, mu=0.5, L=4.0, noise_sigma=0.2),
-        least_squares_objective(4, 6, 12, rng),
-        least_squares_objective(4, 6, 12, rng, alpha=0.3, nonconvex=True),
-        logistic_objective(4, 6, 12, rng, l2_reg=0.05),
+        from_shards("least_squares", *synthetic_shards("least_squares", 4, 6, 12, rng)),
+        from_shards(
+            "least_squares_nonconvex", *synthetic_shards("least_squares_nonconvex", 4, 6, 12, rng), alpha=0.3
+        ),
+        from_shards("logistic_l2", *synthetic_shards("logistic_l2", 4, 6, 12, rng), l2_reg=0.05),
     ]
 
 
@@ -190,7 +191,7 @@ class TestOptimum:
 
     def test_none_for_logistic(self):
         rng = np.random.default_rng(7)
-        assert optimum(logistic_objective(2, 3, 8, rng)) is None
+        assert optimum(from_shards("logistic_l2", *synthetic_shards("logistic_l2", 2, 3, 8, rng))) is None
 
 
 class TestPartition:

@@ -100,12 +100,12 @@ class TestGamma:
             gr = gamma_relaxed(delta, omega, lam)
             assert 0.0 < gs <= omega
             assert 0.0 < gr <= 1.0
-            assert p_of(gs, delta, omega) >= delta**2 * omega / 644.0
+            assert p_of(gs, delta) >= delta**2 * omega / 644.0
 
 
 class TestPOf:
     def test_at_ones(self):
-        p = p_of(gamma_strong(1, 1, 1), 1.0, omega=1.0)
+        p = p_of(gamma_strong(1, 1, 1), 1.0)
         assert p == pytest.approx(1 / 292, abs=1e-15)
         assert p >= 1 / 644
 
