@@ -3,7 +3,7 @@ local iterations, and event-triggered communication."""
 
 from . import compress, engine, node, objective, presets, schedule, topology
 from .compress import CompressedMessage, CompressorSpec, bit_cost, decode, estimate_contraction, omega_of
-from .engine import MetricsRow, RunConfig, RunResult, bits_to_seconds, run
+from .engine import MetricsRow, RunConfig, RunResult, run
 from .objective import ObjectiveSet, full_grad_global, loss, optimum, partition_heterogeneous, stochastic_grad
 from .schedule import (
     LrSchedule,

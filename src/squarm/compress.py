@@ -95,9 +95,17 @@ def _check_sparsifier(spec: CompressorSpec, d: int) -> int:
 
 
 def _top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort on -|x|: among equal magnitudes the lowest index wins.
-    idx = np.argsort(-np.abs(x), kind="stable")[:k]
-    return np.sort(idx)
+    """Ascending positions of the k largest magnitudes of x; among equal
+    magnitudes the lowest index wins, as in a stable sort on -|x|.
+
+    A selection finds the k-th largest magnitude; every larger one is kept,
+    and the lowest-index ties at it fill the rest."""
+    mag = np.abs(x)
+    kth = np.partition(mag, mag.size - k)[mag.size - k]
+    keep = mag > kth
+    ties = np.flatnonzero(mag == kth)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _beta_ds(d: int, s: int) -> float:

@@ -27,12 +27,15 @@ Node state lives in (n, d) arrays (see squarm.node). What is per node in
 the algorithm stays one call per node, in node order: the stochastic
 gradient, the local step, the trigger test and encoding, each drawing from
 the node's own random stream. For the quadratic kind, every node's exact
-gradient comes from one product with the shared curvature matrix per step
-(objective.shared_curvature_grads), and each node's stochastic-gradient
-call only adds its noise; a metrics row's loss and gradient share one
-product too. Delivery of the round's messages and the gossip correction
-are one call each per synchronization round, and the averages, norms and
-distances behind the metrics and diagnostics are array reductions.
+gradient comes from one product X A with the shared curvature matrix
+(objective.shared_curvature_grads): one before the first step and one
+after each step's consensus, which is both the next step's gradients and
+that step's metrics row's loss and gradient at the node average, so a run
+reads A T+1 times plus once per weighted-average row. Each node's
+stochastic-gradient call only adds its noise. Delivery of the round's
+messages and the gossip correction are one call each per synchronization
+round, and the averages, norms and distances behind the metrics and
+diagnostics are array reductions.
 
 Everything is deterministic given the seed: each node owns a private random
 stream, the nodes take their local steps one after another in node order,
@@ -102,13 +105,6 @@ class RunResult:
     config: RunConfig
     diagnostics: Diagnostics
     trace: list[np.ndarray] | None = None
-
-
-def bits_to_seconds(bits: float, link_rate_bps: float) -> float:
-    """Transmission time of a bit total through a rate-limited link."""
-    if link_rate_bps <= 0:
-        raise ParameterError("link rate must be > 0")
-    return bits / link_rate_bps
 
 
 def initial_positions(x0_rng: np.random.Generator, n: int, d: int, scale: float) -> np.ndarray:
@@ -185,10 +181,14 @@ def run(cfg: RunConfig) -> RunResult:
         node_ops.local_step(state, i, g, eta, cfg.beta)
         G[i] = g
 
-    def metrics_row(t: int) -> MetricsRow:
+    def metrics_row(t: int, grads: np.ndarray | None) -> MetricsRow:
+        # grads: the shared-curvature product at the current X, when there is one
         nonlocal vres_since_eval
         xb = X.mean(axis=0)
-        loss, grad = obj_ops.loss_and_grad(obj, xb)
+        if grads is None:
+            loss, grad = obj_ops.loss(obj, xb), obj_ops.full_grad_global(obj, xb)
+        else:
+            loss, grad = obj_ops.loss_and_grad_at_mean(obj, xb, grads)
         dev = X - xb
         row = MetricsRow(
             t=t,
@@ -220,6 +220,9 @@ def run(cfg: RunConfig) -> RunResult:
     def diverged(row: MetricsRow, why: str) -> DivergenceError:
         return DivergenceError(f"{why} at t={row.t}", partial=result(rows + [row]))
 
+    # node i's gradient reads only row i, which no earlier node's local
+    # step touches, so one product at the start of a step serves every node
+    exact = obj_ops.shared_curvature_grads(obj, X)
     for t in range(cfg.T):
         eta = eta_at(cfg.lr, t)
 
@@ -231,14 +234,11 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.diagnostics and constant_lr and x_tilde is None:
             x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
 
-        # node i's gradient reads only row i, which no earlier node's local
-        # step touches, so one product before the loop serves every node
-        exact = obj_ops.shared_curvature_grads(obj, X)
         for i in range(n):
             local_phase(i, eta, None if exact is None else exact[i])
         # a non-finite gradient entry makes its row of X non-finite too
         if not np.isfinite(X).all():
-            raise diverged(metrics_row(t), "parameters diverged")
+            raise diverged(metrics_row(t, None), "parameters diverged")
 
         if cfg.diagnostics:
             diag.max_momentum_norm = max(
@@ -271,6 +271,9 @@ def run(cfg: RunConfig) -> RunResult:
                     mean_preservation_check(x_bar_half, X.mean(axis=0)),
                 )
 
+        # serves the next step's gradients and this step's metrics row
+        exact = obj_ops.shared_curvature_grads(obj, X)
+
         if cfg.diagnostics and constant_lr:
             defect, x_tilde = virtual_residual(
                 x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
@@ -282,7 +285,7 @@ def run(cfg: RunConfig) -> RunResult:
             trace.append(X.copy())
 
         if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
-            row = metrics_row(t)
+            row = metrics_row(t, exact)
             if not np.isfinite(row.loss):
                 raise diverged(row, "loss diverged")
             if row.weighted_avg_loss is not None and not np.isfinite(row.weighted_avg_loss):

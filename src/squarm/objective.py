@@ -12,10 +12,12 @@ quadratic
     eigendecomposition reads them back), and the global optimum solves
     A x* = b_bar in closed form. Heterogeneity enters through the per-node
     linear terms. The stochastic gradient adds i.i.d. Gaussian noise of scale
-    noise_sigma to the exact gradient. A run reads the shared A once per
-    step: shared_curvature_grads gives every node's exact gradient from one
-    product X A^T, and each node's stochastic_grad call then only adds the
-    node's noise.
+    noise_sigma to the exact gradient. A must equal its transpose exactly
+    (ObjectiveSet refuses any other), so x^T A = (A x)^T. A run reads the
+    shared A once per step: shared_curvature_grads gives every node's exact
+    gradient from one product X A, each node's stochastic_grad call then
+    only adds the node's noise, and loss_and_grad_at_mean takes a metrics
+    row's loss and gradient at the node average from the same product.
 
 least_squares
     f_i(x) = 1/(2 m_i) sum_j (a_j^T x - y_j)^2 over node-local samples;
@@ -63,6 +65,13 @@ class ObjectiveSet:
     batch_size: int = 1
     alpha: float = 0.0  # nonconvex regularizer scale
     l2_reg: float = 0.0  # logistic ridge
+
+    def __post_init__(self):
+        # 0.5 x^T A x has gradient A x only when A = A^T, and the gradients
+        # come from X A; a nan entry must face a nan across the diagonal
+        a = self.quad_a
+        if self.kind == "quadratic" and not (a.shape == a.T.shape and ((a == a.T) | np.isnan(a)).all()):
+            raise ParameterError("quad_a: the curvature matrix must equal its transpose")
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +149,28 @@ def full_grad_global(obj: ObjectiveSet, x: np.ndarray) -> np.ndarray:
     return g / obj.n
 
 
-def loss_and_grad(obj: ObjectiveSet, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(loss(obj, x), full_grad_global(obj, x)), bit for bit; the quadratic
-    kind computes both from one product A x."""
-    if obj.kind == "quadratic":
-        ax = obj.quad_a @ x
-        return _quad_loss(obj, x, ax), ax - obj.quad_b.mean(axis=0)
-    return loss(obj, x), full_grad_global(obj, x)
-
-
 def shared_curvature_grads(obj: ObjectiveSet, X: np.ndarray) -> np.ndarray | None:
     """Every node's exact gradient at its own row of X (row i is A x_i - b_i)
-    from one product that reads the shared curvature matrix once; None for
-    the sample-based kinds, which share no matrix.
+    from one product X A, A symmetric, that reads the shared curvature
+    matrix once; None for the sample-based kinds, which share no matrix.
 
-    Row i of X A^T is A x_i for any A, symmetric or not; A^T reaches BLAS as
-    a transpose flag, not a copy. A row may differ from local_grad's
-    matrix-vector product by rounding."""
+    A row may differ from local_grad's matrix-vector product by rounding."""
     if obj.kind != "quadratic":
         return None
-    return X @ obj.quad_a.T - obj.quad_b
+    return X @ obj.quad_a - obj.quad_b
+
+
+def loss_and_grad_at_mean(
+    obj: ObjectiveSet, x_bar: np.ndarray, grads: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(loss, full_grad_global) at the mean x_bar of X's rows, given
+    grads = shared_curvature_grads(obj, X), with no product of its own.
+
+    The mean of the rows is x_bar A - b_bar, which is the global gradient,
+    and A x_bar is that gradient plus b_bar. Either value may differ from
+    the plain calls' by rounding."""
+    grad = grads.mean(axis=0)
+    return _quad_loss(obj, x_bar, grad + obj.quad_b.mean(axis=0)), grad
 
 
 def stochastic_grad(
@@ -244,22 +255,6 @@ def quadratic_objective(
         quad_a=a,
         quad_b=b,
         quad_const=np.zeros(n),
-    )
-
-
-def mean_shift_quadratic(n: int, d: int, centers: np.ndarray, noise_sigma: float = 0.0) -> ObjectiveSet:
-    """f_i(x) = 0.5 ||x - c_i||^2; x* is the mean of the centers, f* in closed form."""
-    centers = np.asarray(centers, dtype=float).reshape(n, d)
-    return ObjectiveSet(
-        kind="quadratic",
-        n=n,
-        d=d,
-        L=1.0,
-        mu=1.0,
-        noise_sigma=noise_sigma,
-        quad_a=np.eye(d),
-        quad_b=centers.copy(),
-        quad_const=0.5 * (centers**2).sum(axis=1),
     )
 
 

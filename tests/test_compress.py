@@ -4,6 +4,7 @@ import pytest
 from squarm.compress import (
     KINDS,
     CompressorSpec,
+    _top_k_indices,
     bit_cost,
     compress,
     decode,
@@ -51,6 +52,18 @@ class TestTopK:
         rng = np.random.default_rng(1)
         msg = compress(CompressorSpec("top_k", k=2), np.array([1.0, -1.0, 1.0, 1.0]), rng)
         assert list(msg.support) == [0, 1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 200, 2000])
+    def test_support_is_the_stable_sort_support_for_every_k(self, d):
+        rng = np.random.default_rng(d)
+        # few distinct magnitudes with both signs, and zeros of both signs
+        rounded = np.round(rng.standard_normal(d), 1)
+        rounded[rng.random(d) < 0.2] = -0.0
+        unit = rng.choice([-1.0, 1.0, 0.0, -0.0], size=d)
+        for x in (rounded, unit):
+            for k in range(1, d + 1):
+                want = np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
+                assert np.array_equal(_top_k_indices(x, k), want), (d, k)
 
     def test_deterministic_contraction_bound(self):
         rng = np.random.default_rng(2)

@@ -10,12 +10,11 @@ from squarm.compress import CompressorSpec
 from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
 from squarm.engine import (
     RunConfig,
-    bits_to_seconds,
     metrics_csv,
     run,
     summary_json,
 )
-from squarm.errors import ConfigError, DivergenceError, ParameterError
+from squarm.errors import ConfigError, DivergenceError
 from squarm.objective import optimum, quadratic_objective
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
@@ -77,21 +76,6 @@ class TestSyncIndices:
         idx = sync_steps(100, 7)
         assert idx[0] == 6
         assert all(b - a == 7 for a, b in zip(idx, idx[1:]))
-
-
-class TestBitsToSeconds:
-    def test_one_second(self):
-        assert bits_to_seconds(100_000, 100_000) == 1.0
-
-    def test_zero(self):
-        assert bits_to_seconds(0, 100_000) == 0.0
-
-    def test_dense_message(self):
-        assert bits_to_seconds(3200, 100_000) == pytest.approx(0.032)
-
-    def test_bad_rate(self):
-        with pytest.raises(ParameterError):
-            bits_to_seconds(1, 0.0)
 
 
 class TestGossipOracle:
@@ -333,7 +317,7 @@ class TestFrozenReference:
         ]
         # two things round differently from the per-node loop: full_copy's
         # dense W @ Hat sums in another order, and a quadratic's gradients are
-        # rows of one X A^T product instead of one matrix-vector product each
+        # rows of one X A product instead of one matrix-vector product each
         bitwise = variant == "mem_efficient" and cfg.objective.kind != "quadratic"
         for a, b in zip(new.trace, old.trace, strict=True):
             if bitwise:
@@ -362,7 +346,7 @@ class CountingMatrix(np.ndarray):
 
 class TestSharedCurvatureProduct:
     @pytest.mark.parametrize("lr", ["auto_constant", "auto_decaying"])
-    def test_one_product_per_step_and_per_metrics_row(self, lr, monkeypatch):
+    def test_metrics_rows_reuse_step_product(self, lr, monkeypatch):
         cfg = quick_config(T=40, eval_every=3, **{"lr.kind": lr})
         n, d = cfg.topology.n, cfg.objective.d
         counted = dataclasses.replace(
@@ -372,11 +356,12 @@ class TestSharedCurvatureProduct:
         result = run(counted)
         weighted = sum(r.weighted_avg_loss is not None for r in result.rows)
         assert (lr == "auto_decaying") == (weighted > 0)
-        # one product with all n rows per step; one A x per metrics row, plus
-        # one for its weighted-average loss; no node takes a product of its own
+        # one product with all n rows before the first step and one after
+        # each step, which the metrics rows reuse; a matrix-vector product
+        # only for a weighted-average loss; no node takes a product of its own
         log = CountingMatrix.log
-        assert len(log) == cfg.T + len(result.rows) + weighted
-        assert log.count((n, d)) == cfg.T and log.count((d,)) == len(result.rows) + weighted
+        assert len(log) == cfg.T + 1 + weighted
+        assert log.count((n, d)) == cfg.T + 1 and log.count((d,)) == weighted
         assert metrics_csv(result) == metrics_csv(run(cfg))
 
     @pytest.mark.parametrize("kind", ["least_squares", "least_squares_nonconvex", "logistic_l2"])

@@ -11,8 +11,7 @@ from squarm.objective import (
     load_dataset,
     local_grad,
     loss,
-    loss_and_grad,
-    mean_shift_quadratic,
+    loss_and_grad_at_mean,
     optimum,
     partition_heterogeneous,
     quadratic_objective,
@@ -20,6 +19,15 @@ from squarm.objective import (
     stochastic_grad,
     synthetic_shards,
 )
+
+
+def mean_shift_quadratic(n, d, centers, noise_sigma=0.0):
+    """f_i(x) = 0.5 ||x - c_i||^2; x* is the mean of the centers, f* in closed form."""
+    centers = np.asarray(centers, dtype=float).reshape(n, d)
+    return ObjectiveSet(
+        kind="quadratic", n=n, d=d, L=1.0, mu=1.0, noise_sigma=noise_sigma,
+        quad_a=np.eye(d), quad_b=centers.copy(), quad_const=0.5 * (centers**2).sum(axis=1),
+    )
 
 
 def all_kinds(rng):
@@ -111,18 +119,33 @@ class TestStochasticity:
 
 class TestSharedCurvature:
     @staticmethod
-    def nonsymmetric_quadratic(rng, n=5, d=7):
-        # built directly: nothing downstream of the helper may assume A = A^T
-        a = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
-        assert np.abs(a - a.T).max() > 0.1
+    def direct_quadratic(rng, a, n=5):
+        d = len(a)
         return ObjectiveSet(
             kind="quadratic", n=n, d=d, L=1.0, mu=1.0, noise_sigma=0.3,
             quad_a=a, quad_b=rng.standard_normal((n, d)), quad_const=rng.standard_normal(n),
         )
 
+    @classmethod
+    def symmetric_quadratic(cls, rng, d=7):
+        # built directly, not by quadratic_objective's spectral construction
+        s = rng.standard_normal((d, d))
+        return cls.direct_quadratic(rng, s + s.T + 3.0 * np.eye(d))
+
+    def test_nonsymmetric_curvature_is_refused(self):
+        rng = np.random.default_rng(10)
+        s = rng.standard_normal((7, 7))
+        a = s + s.T + 3.0 * np.eye(7)
+        self.direct_quadratic(rng, a)
+        one_ulp_off = a.copy()
+        one_ulp_off[0, 1] = np.nextafter(a[0, 1], np.inf)
+        for broken in (s + 3.0 * np.eye(7), one_ulp_off):
+            with pytest.raises(ParameterError, match="quad_a"):
+                self.direct_quadratic(rng, broken)
+
     def test_rows_are_each_nodes_exact_gradient(self):
         rng = np.random.default_rng(11)
-        for obj in (quadratic_objective(6, 40, rng, mu=0.5, L=4.0), self.nonsymmetric_quadratic(rng)):
+        for obj in (quadratic_objective(6, 40, rng, mu=0.5, L=4.0), self.symmetric_quadratic(rng)):
             X = rng.standard_normal((obj.n, obj.d))
             rows = shared_curvature_grads(obj, X)
             assert rows.shape == (obj.n, obj.d)
@@ -137,7 +160,7 @@ class TestSharedCurvature:
 
     def test_precomputed_row_gets_the_same_noise(self):
         rng = np.random.default_rng(13)
-        for obj in (quadratic_objective(4, 9, rng, noise_sigma=0.4), self.nonsymmetric_quadratic(rng)):
+        for obj in (quadratic_objective(4, 9, rng, noise_sigma=0.4), self.symmetric_quadratic(rng)):
             X = rng.standard_normal((obj.n, obj.d))
             rows = shared_curvature_grads(obj, X)
             for i in range(obj.n):
@@ -156,14 +179,16 @@ class TestSharedCurvature:
         with pytest.raises(ParameterError, match="quadratic"):
             stochastic_grad(obj, 0, np.zeros(obj.d), rng, exact=np.zeros(obj.d))
 
-    def test_loss_and_grad_is_both_calls_bit_for_bit(self):
+    def test_loss_and_grad_at_mean_match_the_plain_calls(self):
         rng = np.random.default_rng(15)
-        for obj in (*all_kinds(rng), self.nonsymmetric_quadratic(rng)):
+        for obj in (quadratic_objective(6, 40, rng, mu=0.5, L=4.0), self.symmetric_quadratic(rng)):
             for _ in range(5):
-                x = rng.standard_normal(obj.d)
-                value, grad = loss_and_grad(obj, x)
-                assert value == loss(obj, x)
-                assert np.array_equal(grad, full_grad_global(obj, x))
+                X = rng.standard_normal((obj.n, obj.d))
+                x_bar = X.mean(axis=0)
+                value, grad = loss_and_grad_at_mean(obj, x_bar, shared_curvature_grads(obj, X))
+                f, g = loss(obj, x_bar), full_grad_global(obj, x_bar)
+                assert abs(value - f) <= 1e-12 * max(1.0, abs(f))
+                assert np.abs(grad - g).max() <= 1e-12 * np.abs(g).max()
 
 
 class TestOptimum:
