@@ -3,13 +3,13 @@ local iterations, and event-triggered communication."""
 
 from . import compress, engine, node, objective, presets, schedule, topology
 from .compress import CompressedMessage, CompressorSpec, bit_cost, decode, estimate_contraction, omega_of
-from .engine import MetricsRow, RunConfig, RunResult, run
+from .config import RunConfig
+from .engine import MetricsRow, RunResult, run
 from .objective import ObjectiveSet, full_grad_global, loss, optimum, partition_heterogeneous, stochastic_grad
 from .schedule import (
     LrSchedule,
     ThresholdSchedule,
     constant_lr,
-    decaying_lr,
     gamma_relaxed,
     gamma_strong,
     min_T_nonconvex,

@@ -137,36 +137,29 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> C
     kind = spec.kind
     support = None
     scale = None
+    if kind in SPARSE_KINDS:
+        k = _check_sparsifier(spec, d)
+        if kind == "rand_k":
+            support = np.sort(rng.choice(d, size=k, replace=False))
+        else:
+            support = _top_k_indices(x, k)
 
     if kind == "identity":
         values = x.copy()
-    elif kind == "top_k":
-        k = _check_sparsifier(spec, d)
-        support = _top_k_indices(x, k)
-        values = x[support].copy()
-    elif kind == "rand_k":
-        k = _check_sparsifier(spec, d)
-        support = np.sort(rng.choice(d, size=k, replace=False))
-        values = x[support].copy()
+    elif kind in ("top_k", "rand_k"):
+        values = x[support]
     elif kind == "qsgd":
         values, scale = _qsgd_levels(x, spec.s, rng)
     elif kind == "scaled_sign":
         scale = float(np.abs(x).sum() / d)
         values = np.sign(x)
     elif kind == "sign_top_k":
-        k = _check_sparsifier(spec, d)
-        support = _top_k_indices(x, k)
         kept = x[support]
         scale = float(np.abs(kept).sum() / k)
         values = np.sign(kept)
-    elif kind == "qsgd_top_k":
-        k = _check_sparsifier(spec, d)
-        support = _top_k_indices(x, k)
-        levels, qscale = _qsgd_levels(x[support], spec.s, rng)
-        values = levels
+    else:  # qsgd_top_k, the last kind CompressorSpec accepts
+        values, qscale = _qsgd_levels(x[support], spec.s, rng)
         scale = qscale / (1.0 + _beta_ds(k, spec.s))
-    else:  # pragma: no cover - guarded by CompressorSpec
-        raise ParameterError(f"unknown kind {kind!r}")
 
     return CompressedMessage(
         kind=kind,
@@ -238,9 +231,7 @@ def _bit_cost_formula(spec: CompressorSpec, d: int) -> int:
     level_bits = (2 * spec.s).bit_length()  # ceil(log2 (2s+1)) signed levels
     if kind == "qsgd":
         return d * level_bits + vb
-    if kind == "qsgd_top_k":
-        return spec.k * (index_bits + level_bits) + vb
-    raise ParameterError(f"unknown kind {kind!r}")  # pragma: no cover
+    return spec.k * (index_bits + level_bits) + vb  # qsgd_top_k
 
 
 def bit_cost(spec: CompressorSpec, d: int, message: CompressedMessage) -> int:

@@ -59,7 +59,7 @@ from . import node as node_ops
 from . import objective as obj_ops
 from .compress import bit_cost, decode, omega_of
 from .config import RunConfig, seed_streams
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError
 from .schedule import eta_at, p_of, threshold_at, weighted_avg_weight
 
 
@@ -127,8 +127,6 @@ def virtual_residual(
     xt^{t+1} = xbar^{t+1} - eta beta^2/(1-beta) vbar^t and the value the
     recurrence predicts from xt^t and the mean stochastic gradient.
     """
-    if beta >= 1.0:
-        raise ParameterError("beta must be < 1")
     x_tilde_new = x_bar_new - (eta * beta**2 / (1.0 - beta)) * v_bar_new
     predicted = x_tilde_prev - (eta / (1.0 - beta)) * g_bar
     return float(np.abs(x_tilde_new - predicted).max()), x_tilde_new
@@ -171,15 +169,8 @@ def run(cfg: RunConfig) -> RunResult:
     wavg_acc = np.zeros(d) if decaying else None
     wavg_sum = 0.0
 
-    x_tilde = None
+    x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
     vres_since_eval = 0.0
-
-    def local_phase(i: int, eta: float, exact: np.ndarray | None) -> None:
-        g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i], exact)
-        if cfg.grad_clip is not None:
-            g = obj_ops.clip_to_norm(g, cfg.grad_clip)
-        node_ops.local_step(state, i, g, eta, cfg.beta)
-        G[i] = g
 
     def metrics_row(t: int, grads: np.ndarray | None) -> MetricsRow:
         # grads: the shared-curvature product at the current X, when there is one
@@ -231,11 +222,12 @@ def run(cfg: RunConfig) -> RunResult:
             wavg_acc += w_t * X.mean(axis=0)
             wavg_sum += w_t
 
-        if cfg.diagnostics and constant_lr and x_tilde is None:
-            x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
-
         for i in range(n):
-            local_phase(i, eta, None if exact is None else exact[i])
+            g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i], None if exact is None else exact[i])
+            if cfg.grad_clip is not None:
+                g = obj_ops.clip_to_norm(g, cfg.grad_clip)
+            node_ops.local_step(state, i, g, eta, cfg.beta)
+            G[i] = g
         # a non-finite gradient entry makes its row of X non-finite too
         if not np.isfinite(X).all():
             raise diverged(metrics_row(t, None), "parameters diverged")

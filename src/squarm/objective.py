@@ -186,7 +186,7 @@ def stochastic_grad(
     already computed (row i of shared_curvature_grads); the call then only
     adds node i's noise, drawn from rng exactly as without it."""
     if obj.kind == "quadratic":
-        g = obj.quad_a @ x - obj.quad_b[i] if exact is None else exact
+        g = local_grad(obj, i, x) if exact is None else exact
         if obj.noise_sigma > 0.0:
             g = g + obj.noise_sigma * rng.standard_normal(obj.d)
         return g

@@ -118,17 +118,9 @@ def constant_lr(n: int, T: int, beta: float) -> float:
     return (1.0 - beta) * math.sqrt(n / T)
 
 
-def decaying_lr(t: int, mu: float, beta: float, a: float) -> float:
-    """eta_t = 16 (1 - beta) / (mu (a + t))."""
-    if mu <= 0:
-        raise ParameterError("mu must be > 0")
-    if a < 1:
-        raise ParameterError("a must be >= 1")
-    return 16.0 * (1.0 - beta) / (mu * (a + t))
-
-
 def decaying_schedule(mu: float, beta: float, a: float) -> LrSchedule:
-    """LrSchedule form of decaying_lr with b = 16 (1 - beta) / mu."""
+    """eta_t = 16 (1 - beta) / (mu (a + t)): LrSchedule's decaying kind with
+    b = 16 (1 - beta) / mu."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
     return LrSchedule(kind="decaying", b=16.0 * (1.0 - beta) / mu, a=a)
@@ -153,9 +145,8 @@ def gamma_relaxed(delta: float, omega: float, lam: float) -> float:
 
 def gamma_strong(delta: float, omega: float, lam: float) -> float:
     _check_ranges(delta, omega, lam)
+    # positive on the checked ranges: at least 64 delta - 16 delta omega >= 48 delta
     denom = 64.0 * delta + delta**2 + 16.0 * lam**2 + 8.0 * delta * lam**2 - 16.0 * delta * omega
-    if denom <= 0:
-        raise ParameterError("gamma_strong denominator not positive")
     return (2.0 * delta * omega) / denom
 
 

@@ -91,10 +91,9 @@ def power_deviation(w: np.ndarray, k: int) -> float:
 def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> MixingMatrix:
     """w checked and frozen in place, with its neighbour lists and its
     (delta, lambda_dev): the builder's closed form if given, else eigvalsh's."""
-    # the error args name build_custom's arguments; ring and complete matrices always pass
+    # every builder hands over an n x n matrix; the error args name
+    # build_custom's arguments, since ring and complete matrices always pass
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise TopologyError("weight matrix must be square")
     n = w.shape[0]
     rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
     # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T

@@ -202,11 +202,10 @@ def spectral_suite() -> list[Check]:
 
 def schedules_suite(seed: int = 0) -> list[Check]:
     ok_gs, ok_p, ok_range = gamma_bounds(np.random.default_rng(seed), 1000, 1e-6)
-    ratio_ok = all(
-        sched.decaying_lr(t, 1.0, 0.0, 5.0 * H) <= 2 * sched.decaying_lr(t + H, 1.0, 0.0, 5.0 * H)
-        for H in (1, 5, 20)  # a = 5H >= 5H/p >= H for any p <= 1
-        for t in (0, 3, 100)
-    )
+    ratio_ok = True
+    for H in (1, 5, 20):
+        lr = sched.decaying_schedule(1.0, 0.0, 5.0 * H)  # a = 5H >= 5H/p >= H for any p <= 1
+        ratio_ok &= all(sched.eta_at(lr, t) <= 2 * sched.eta_at(lr, t + H) for t in (0, 3, 100))
     return [
         ("gamma_strong <= omega (1000 draws)", ok_gs, ""),
         ("p >= delta^2 omega / 644 (1000 draws)", ok_p, ""),

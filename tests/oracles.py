@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from squarm.engine import initial_positions, seed_streams
+from squarm.config import seed_streams
+from squarm.engine import initial_positions
 from squarm.objective import ObjectiveSet, stochastic_grad
 
 

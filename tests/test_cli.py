@@ -191,6 +191,31 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 42
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--preset", "squarm", "--topology.n=16", "--objective.d=200", "--T=600", "--seed=3",
+             "--objective.noise_sigma=0.1", "--x0_scale=1"],
+            ["--objective.kind=least_squares", "--topology.n=16", "--objective.d=50", "--T=300",
+             "--seed=3", "--x0_scale=1", "--objective.batch_size=8", "--lr.kind=constant",
+             "--lr.eta=0.01", "--beta=0.5", "--compressor.kind=top_k", "--compressor.k=5",
+             "--gamma.value=0.5", "--threshold.kind=poly", "--threshold.c0=1", "--threshold.epsilon=0.5"],
+        ],
+        ids=["squarm_quadratic_d200", "least_squares_d50"],
+    )
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, args):
+        # the thread count is set in the children only: this process's BLAS has already started
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "squarm", "run", *args, "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append([(out / name).read_bytes() for name in ("metrics.csv", "summary.json")])
+        assert outs[0] == outs[1]
 
     def test_divergence_between_eval_rows_writes_partial_outputs(self, tmp_path):
         # the blow-up happens long before the second metrics row

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory
-from squarm.compress import CompressorSpec
+from squarm.compress import KINDS, CompressorSpec
 from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
 from squarm.engine import (
     RunConfig,
@@ -305,30 +307,118 @@ class TestBroadcastConsistency:
                         assert np.array_equal(nodes[i].copies[j], hat_shadow[j])
 
 
+def assert_matches_reference(cfg: RunConfig):
+    """Run cfg (with trace on) on the engine and on the frozen per-node
+    reference, assert that they agree, and return the engine's result."""
+    new, old = run(cfg), ref.run(cfg)
+    assert new.total_bits == old.total_bits
+    assert [(r.t, r.bits_cum, r.messages, r.triggers) for r in new.rows] == [
+        (r.t, r.bits_cum, r.messages, r.triggers) for r in old.rows
+    ]
+    # two things round differently from the per-node loop: full_copy's
+    # dense W @ Hat sums in another order, and a quadratic's gradients are
+    # rows of one X A product instead of one matrix-vector product each
+    bitwise = cfg.variant == "mem_efficient" and cfg.objective.kind != "quadratic"
+    for a, b in zip(new.trace, old.trace, strict=True):
+        if bitwise:
+            assert np.array_equal(a, b)
+        else:
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+    # closed-form and array-reduced metrics against the per-node sums
+    for a, b in zip(new.rows, old.rows):
+        assert (a.weighted_avg_loss is None) == (b.weighted_avg_loss is None)
+        for field in ("loss", "grad_norm_sq", "consensus", "weighted_avg_loss"):
+            x, y = getattr(a, field), getattr(b, field)
+            if y is not None:
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (a.t, field, x, y)
+    return new
+
+
+@st.composite
+def custom_graph(draw, n):
+    """The custom-topology keys of a connected graph on n nodes (a random
+    tree plus extra edges) with Metropolis weights 1 / (1 + max(deg i, deg j)),
+    whose self-weights are positive."""
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges = sorted(edges | {(min(i, j), max(i, j)) for i, j in extra if i != j})
+    degree = np.bincount(np.ravel(edges), minlength=n)
+    weights = [1.0 / (1 + max(degree[i], degree[j])) for i, j in edges]
+    self_weights = [1.0 - sum(w for e, w in zip(edges, weights) if i in e) for i in range(n)]
+    return {
+        "topology.edges": [list(e) for e in edges],
+        "topology.edge_weights": weights,
+        "topology.self_weights": self_weights,
+    }
+
+
+@st.composite
+def drawn_configs(draw):
+    """Small runs over every compressor, threshold, variant, accounting,
+    step-size kind, objective kind and graph kind. Gradient noise (or
+    minibatches) and random starts make an exact tie at a strict trigger
+    test a probability-zero event."""
+    n, d = draw(st.integers(3, 8)), draw(st.integers(2, 12))
+    flat = {
+        "topology.n": n,
+        "objective.d": d,
+        "objective.kind": draw(st.sampled_from(KEYS["objective.kind"].valid)),
+        "objective.mu": 0.5,
+        "objective.L": draw(st.floats(0.5, 4.0)),
+        "objective.noise_sigma": draw(st.floats(0.01, 1.0)),
+        "objective.samples_per_node": draw(st.integers(1, 8)),
+        "objective.batch_size": draw(st.integers(1, 4)),
+        "compressor.kind": draw(st.sampled_from(KINDS)),
+        "compressor.k": draw(st.integers(1, d)),
+        "compressor.s": draw(st.integers(1, 8)),
+        "threshold.kind": draw(st.sampled_from(KEYS["threshold.kind"].valid)),
+        # c_t eta^2 against the drift: scales from always to rarely firing
+        "threshold.c0": 10 ** draw(st.floats(-2.0, 4.0)),
+        "threshold.epsilon": draw(st.floats(0.05, 1.0)),
+        "threshold.init": 10 ** draw(st.floats(-2.0, 4.0)),
+        "threshold.step": 10 ** draw(st.floats(-2.0, 3.0)),
+        "threshold.period": draw(st.integers(1, 20)),
+        "gamma.kind": "explicit",
+        "gamma.value": draw(st.floats(0.05, 0.5)),
+        "H": draw(st.integers(1, 5)),
+        "T": draw(st.integers(1, 40)),
+        "beta": draw(st.floats(0.0, 0.9)),
+        "seed": draw(st.integers(0, 2**16)),
+        "variant": draw(st.sampled_from(KEYS["variant"].valid)),
+        "accounting": draw(st.sampled_from(KEYS["accounting"].valid)),
+        "grad_clip": draw(st.none() | st.floats(0.5, 5.0)),
+        "x0_scale": draw(st.floats(0.0, 2.0, exclude_min=True)),
+        "diagnostics": True,
+        "trace": True,
+    }
+    eta = draw(st.floats(0.001, 0.05))
+    if draw(st.booleans()):
+        flat |= {"lr.kind": "constant", "lr.eta": eta}
+    else:  # eta_t = b / (a + t), starting at eta
+        a = draw(st.floats(1.0, 40.0))
+        flat |= {"lr.kind": "decaying", "lr.a": a, "lr.b": eta * a}
+    flat["topology.kind"] = draw(st.sampled_from(KEYS["topology.kind"].valid))
+    if flat["topology.kind"] == "ring":
+        flat["topology.self_weight"] = draw(st.floats(0.1, 0.9))
+    elif flat["topology.kind"] == "custom":
+        flat |= draw(custom_graph(n))
+    return flat
+
+
 class TestFrozenReference:
     @pytest.mark.parametrize("variant", ["full_copy", "mem_efficient"])
     @pytest.mark.parametrize("idx", range(len(_identity_configs())))
     def test_matches_per_node_reference(self, idx, variant):
         cfg, _ = build_run_config(merged(_identity_configs()[idx], {"variant": variant, "trace": True}))
-        new, old = run(cfg), ref.run(cfg)
-        assert new.total_bits == old.total_bits
-        assert [(r.t, r.bits_cum, r.messages, r.triggers) for r in new.rows] == [
-            (r.t, r.bits_cum, r.messages, r.triggers) for r in old.rows
-        ]
-        # two things round differently from the per-node loop: full_copy's
-        # dense W @ Hat sums in another order, and a quadratic's gradients are
-        # rows of one X A product instead of one matrix-vector product each
-        bitwise = variant == "mem_efficient" and cfg.objective.kind != "quadratic"
-        for a, b in zip(new.trace, old.trace, strict=True):
-            if bitwise:
-                assert np.array_equal(a, b)
-            else:
-                assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
-        # closed-form and array-reduced metrics against the per-node sums
-        for a, b in zip(new.rows, old.rows):
-            for field in ("loss", "grad_norm_sq", "consensus"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (a.t, field, x, y)
+        assert_matches_reference(cfg)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(drawn_configs())
+    def test_matches_on_drawn_configs(self, flat):
+        cfg, _ = build_run_config(merged(flat))
+        new = assert_matches_reference(cfg)
+        for name, m in identities(new).items():
+            assert m.ok, (name, m)
 
 
 class CountingMatrix(np.ndarray):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grad
-from squarm.errors import DataError, ParameterError, PartitionError
+from squarm.errors import DataError, NoOptimumError, ParameterError, PartitionError
 from squarm.objective import (
     ObjectiveSet,
     clip_to_norm,
@@ -217,6 +217,14 @@ class TestOptimum:
     def test_none_for_logistic(self):
         rng = np.random.default_rng(7)
         assert optimum(from_shards("logistic_l2", *synthetic_shards("logistic_l2", 2, 3, 8, rng))) is None
+
+    def test_singular_curvature_has_no_optimum(self):
+        obj = ObjectiveSet(
+            kind="quadratic", n=1, d=2, L=1.0, mu=0.0,
+            quad_a=np.zeros((2, 2)), quad_b=np.ones((1, 2)), quad_const=np.zeros(1),
+        )
+        with pytest.raises(NoOptimumError, match="singular"):
+            optimum(obj)
 
 
 class TestPartition:

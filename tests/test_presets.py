@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import gossip_sgd_trajectory
-from squarm.config import build_run_config, merged
+from squarm.config import build_run_config, merged, seed_streams
 from squarm.engine import run
 from squarm.errors import ConfigError
 from squarm.presets import PRESETS, preset
@@ -65,7 +65,7 @@ def test_dpsgd_copies_track_parameters():
     # identity compressor + always trigger keeps every public copy equal to
     # the holder's parameters after each round (up to float bookkeeping)
     from squarm.compress import decode
-    from squarm.engine import initial_positions, seed_streams
+    from squarm.engine import initial_positions
     from squarm.objective import stochastic_grad
     from squarm.schedule import eta_at, threshold_at
     import squarm.node as node_ops

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squarm import verify
-from squarm.errors import ConnectivityError, StochasticityError, SymmetryError, TopologyError
+from squarm.errors import ConnectivityError, NumericalError, StochasticityError, SymmetryError, TopologyError
 from squarm.topology import (
     _validate,
     build_complete,
@@ -157,6 +157,11 @@ class TestSpectralQuantities:
         delta, lam = spectral_quantities(w.w)
         assert delta == pytest.approx(analytic_delta(8, 1 / 3), abs=1e-12)
         assert lam == pytest.approx(4 / 3, abs=1e-12)
+
+    def test_failed_eigensolver_is_a_numerical_error(self):
+        # eigvalsh raises LinAlgError ("did not converge") on a nan matrix
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            spectral_quantities(np.full((3, 3), np.nan))
 
     def test_lambda_dev_equals_w_minus_i_norm(self):
         # the two definitions coincide for symmetric W
