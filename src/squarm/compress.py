@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParameterError
+from .errors import ParameterError
 
 KINDS = (
     "identity",
@@ -132,7 +132,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> C
     """Apply the operator described by spec to x, using rng for random kinds."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
-        raise DomainError("input vector has non-finite entries")
+        raise ParameterError("input vector has non-finite entries")
     d = x.shape[0]
     kind = spec.kind
     support = None
@@ -237,9 +237,9 @@ def _bit_cost_formula(spec: CompressorSpec, d: int) -> int:
 def bit_cost(spec: CompressorSpec, d: int, message: CompressedMessage) -> int:
     """Bits on the wire for one message under spec's encoding."""
     if message.kind != spec.kind:
-        raise ContractError(
+        raise ParameterError(
             f"message kind {message.kind!r} does not match spec kind {spec.kind!r}"
         )
     if message.d != d:
-        raise ContractError(f"message dimension {message.d} != {d}")
+        raise ParameterError(f"message dimension {message.d} != {d}")
     return _bit_cost_formula(spec, d)

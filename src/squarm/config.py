@@ -24,7 +24,7 @@ import numpy as np
 from . import objective as obj_ops
 from . import schedule as sched
 from .compress import KINDS, QUANT_KINDS, SPARSE_KINDS, CompressorSpec, omega_of
-from .errors import ConfigError, DataError, PartitionError, TopologyError
+from .errors import ConfigError, DataError, TopologyError
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
 UNSET = None  # the default of keys that are absent unless set
@@ -324,7 +324,7 @@ def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveS
             )
             if path and not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
                 raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
-    except (DataError, PartitionError) as exc:  # only a dataset file raises these
+    except DataError as exc:  # only a dataset file raises it
         raise ConfigError(f"objective.dataset_path: {exc}") from None
     return obj
 

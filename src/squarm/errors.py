@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per thing a
+caller can fix.
+
+Catch SquarmError for any failure the library reports. Below it, catch
+TopologyError to change the graph (its .arg names the builder argument),
+ParameterError to change a function argument, DataError to change the
+dataset, ConfigError to change a run configuration (its message starts with
+the key), and DivergenceError to change a run that blew up (its .partial holds
+the outputs so far).
+"""
 
 
 class SquarmError(Exception):
@@ -6,7 +15,10 @@ class SquarmError(Exception):
 
 
 class TopologyError(SquarmError):
-    """Invalid graph or mixing-matrix construction parameters.
+    """Invalid graph or mixing-matrix construction parameters: a bad node
+    count, edge, weight or self-weight; a weight matrix that is not symmetric,
+    has negative entries or rows/columns that do not sum to one; a
+    disconnected graph; a spectral gap that is not positive.
 
     arg names the builder argument to change, where there is one.
     """
@@ -16,44 +28,19 @@ class TopologyError(SquarmError):
         self.arg = arg
 
 
-class ConnectivityError(TopologyError):
-    """The communication graph is not connected."""
-
-
-class StochasticityError(TopologyError):
-    """A row or column of the weight matrix does not sum to one."""
-
-
-class SymmetryError(TopologyError):
-    """The weight matrix is not symmetric."""
-
-
-class NumericalError(SquarmError):
-    """An underlying numerical routine failed to converge."""
-
-
 class ParameterError(SquarmError, ValueError):
-    """An argument is outside its admissible range."""
-
-
-class DomainError(SquarmError, ValueError):
-    """An input vector contains non-finite entries."""
-
-
-class ContractError(SquarmError):
-    """A message or payload does not match the spec it claims to follow."""
+    """An argument a library function cannot work with: a value outside its
+    admissible range or an unknown kind; an input vector with non-finite
+    entries; a message that does not match the compressor spec or dimension
+    it is priced under; a matrix the eigensolver fails on or one smaller
+    than 2 x 2; a singular curvature matrix, which has no closed-form
+    optimum."""
 
 
 class DataError(SquarmError):
-    """A node has no usable local data."""
-
-
-class PartitionError(SquarmError):
-    """A dataset cannot be split as requested."""
-
-
-class NoOptimumError(SquarmError):
-    """The closed-form optimum does not exist (singular system)."""
+    """A dataset that cannot be used: a file that cannot be read, holds too
+    few columns or values that are not finite or overflow; an empty dataset,
+    more nodes than samples, or a node left without local samples."""
 
 
 class ConfigError(SquarmError):

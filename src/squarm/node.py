@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compress import CompressedMessage, CompressorSpec, compress
+from .errors import ParameterError
 
 
 @dataclass
@@ -55,7 +56,7 @@ def make_state(x0: np.ndarray, variant: str) -> NodeState:
         return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X))
     if variant == "mem_efficient":
         return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X), S=np.zeros_like(X))
-    raise ValueError(f"unknown variant {variant!r}")
+    raise ParameterError(f"unknown variant {variant!r}")
 
 
 def local_step(state: NodeState, i: int, g: np.ndarray, eta: float, beta: float) -> None:

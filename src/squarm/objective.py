@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NoOptimumError, ParameterError, PartitionError
+from .errors import DataError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def optimum(obj: ObjectiveSet) -> tuple[np.ndarray, float] | None:
     try:
         x_star = np.linalg.solve(obj.quad_a, b_bar)
     except np.linalg.LinAlgError as exc:
-        raise NoOptimumError(f"curvature matrix is singular: {exc}") from exc
+        raise ParameterError(f"curvature matrix is singular: {exc}") from exc
     return x_star, loss(obj, x_star)
 
 
@@ -342,9 +342,9 @@ def partition_heterogeneous(
     """
     m = len(targets)
     if m == 0:
-        raise PartitionError("dataset is empty")
+        raise DataError("dataset is empty")
     if n > m:
-        raise PartitionError(f"cannot split {m} samples across {n} nodes")
+        raise DataError(f"cannot split {m} samples across {n} nodes")
     if mode == "iid":
         order = rng.permutation(m)
         idx_sets = [order[i::n] for i in range(n)]

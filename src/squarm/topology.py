@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConnectivityError,
-    NumericalError,
-    StochasticityError,
-    SymmetryError,
-    TopologyError,
-)
+from .errors import ParameterError, TopologyError
 
 STOCHASTIC_TOL = 1e-10
 
@@ -66,7 +60,9 @@ def spectral_quantities(w: np.ndarray) -> tuple[float, float]:
     try:
         eigs = np.linalg.eigvalsh(np.asarray(w, dtype=float))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        raise ParameterError(f"eigendecomposition failed: {exc}") from exc
+    if eigs.size < 2:
+        raise ParameterError(f"spectral quantities need an n x n matrix with n >= 2, got shape {np.shape(w)}")
     by_abs = np.sort(np.abs(eigs))[::-1]
     delta = float(1.0 - by_abs[1])
     lambda_dev = float(1.0 - eigs.min())
@@ -98,19 +94,19 @@ def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> Mix
     rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
     # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T
     if not np.array_equal(w[rows, cols], w[cols, rows]):
-        raise SymmetryError("weight matrix is not symmetric")
+        raise TopologyError("weight matrix is not symmetric")
     if (w < 0).any():
-        raise StochasticityError("weight matrix has negative entries", "self_weights")
+        raise TopologyError("weight matrix has negative entries", "self_weights")
     row_dev = np.abs(w.sum(axis=1) - 1.0).max()
     col_dev = np.abs(w.sum(axis=0) - 1.0).max()
     if max(row_dev, col_dev) > STOCHASTIC_TOL:
-        raise StochasticityError(
+        raise TopologyError(
             f"rows/columns must sum to 1 (max deviation {max(row_dev, col_dev):.3e})",
             "self_weights",
         )
     adjacency = _adjacency(n, rows, cols)
     if not _connected(adjacency):
-        raise ConnectivityError("communication graph is not connected", "edges")
+        raise TopologyError("communication graph is not connected", "edges")
     delta, lambda_dev = spectral_quantities(w) if spectrum is None else spectrum
     if delta <= 0:
         raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", "self_weights")
@@ -203,7 +199,7 @@ def build_custom(
         if weight < 0:
             raise TopologyError(f"negative weight on edge ({i}, {j})", "edge_weights")
         if (j, i) in seen and seen[(j, i)] != weight:
-            raise SymmetryError(f"edge ({i}, {j}) and ({j}, {i}) given different weights", "edge_weights")
+            raise TopologyError(f"edge ({i}, {j}) and ({j}, {i}) given different weights", "edge_weights")
         seen[(i, j)] = weight
         w[i, j] = weight
         w[j, i] = weight

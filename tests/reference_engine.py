@@ -31,7 +31,7 @@ from squarm.engine import (
     seed_streams,
     virtual_residual,
 )
-from squarm.errors import DivergenceError, DomainError, TopologyError
+from squarm.errors import DivergenceError, ParameterError, TopologyError
 from squarm.schedule import eta_at, threshold_at, weighted_avg_weight
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def make_node(index: int, x0: np.ndarray, neighbors: tuple[int, ...], variant: s
 def local_step(state: NodeState, g: np.ndarray, eta: float, beta: float) -> None:
     """Momentum SGD step: v <- beta v + g; x <- x - eta (beta v_new + g)."""
     if not np.isfinite(g).all():
-        raise DomainError("gradient has non-finite entries")
+        raise ParameterError("gradient has non-finite entries")
     state.v = beta * state.v + g
     state.x = state.x - eta * (beta * state.v + g)
 

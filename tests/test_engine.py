@@ -18,6 +18,7 @@ from squarm.engine import (
 )
 from squarm.errors import ConfigError, DivergenceError
 from squarm.objective import optimum, quadratic_objective
+from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
 from squarm.verify import _identity_configs, identities
@@ -66,6 +67,51 @@ INVALID = {
 }
 
 
+@st.composite
+def custom_graph(draw, n):
+    """The custom-topology keys of a connected graph on n nodes (a random
+    tree plus extra edges) with Metropolis weights 1 / (1 + max(deg i, deg j)),
+    whose self-weights are positive."""
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges = sorted(edges | {(min(i, j), max(i, j)) for i, j in extra if i != j})
+    degree = np.bincount(np.ravel(edges), minlength=n)
+    weights = [1.0 / (1 + max(degree[i], degree[j])) for i, j in edges]
+    self_weights = [1.0 - sum(w for e, w in zip(edges, weights) if i in e) for i in range(n)]
+    return {
+        "topology.edges": [list(e) for e in edges],
+        "topology.edge_weights": weights,
+        "topology.self_weights": self_weights,
+    }
+
+
+@st.composite
+def dpsgd_configs(draw):
+    """Criterion 06's run (the dpsgd preset at a constant step size) over
+    drawn sizes, step sizes and ring, complete and custom graphs. Gradient
+    noise and a random start keep every node's drift off an exact-zero tie."""
+    n = draw(st.integers(3, 8))
+    flat = preset("dpsgd") | {
+        "topology.n": n,
+        "objective.d": draw(st.integers(2, 12)),
+        "objective.mu": 0.5,
+        "objective.L": 4.0,
+        "objective.noise_sigma": draw(st.floats(0.01, 1.0)),
+        "T": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**16)),
+        "lr.kind": "constant",
+        "lr.eta": draw(st.floats(0.001, 0.05)),
+        "x0_scale": draw(st.floats(0.0, 2.0, exclude_min=True)),
+        "trace": True,
+        "topology.kind": draw(st.sampled_from(KEYS["topology.kind"].valid)),
+    }
+    if flat["topology.kind"] == "ring":
+        flat["topology.self_weight"] = draw(st.floats(0.1, 0.9))
+    elif flat["topology.kind"] == "custom":
+        flat |= draw(custom_graph(n))
+    return flat
+
+
 class TestSyncIndices:
     def test_examples(self):
         assert sync_steps(10, 5) == [4, 9]
@@ -111,6 +157,16 @@ class TestGossipOracle:
             np.abs(result.trace[t] - oracle[t + 1]).max() for t in range(T)
         )
         assert worst < 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(dpsgd_configs())
+    def test_dpsgd_preset_matches_matrix_form_on_drawn_configs(self, flat):
+        cfg, _ = build_run_config(merged(flat))
+        result = run(cfg)
+        oracle = gossip_sgd_trajectory(cfg.objective, cfg.topology.w, cfg.lr.eta, cfg.T, cfg.seed, cfg.x0_scale)
+        for t in range(cfg.T):
+            bound = 1e-12 * max(1.0, np.abs(oracle[t + 1]).max())
+            assert np.abs(result.trace[t] - oracle[t + 1]).max() <= bound, t
 
 
 class TestRunBasics:
@@ -332,24 +388,6 @@ def assert_matches_reference(cfg: RunConfig):
             if y is not None:
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), (a.t, field, x, y)
     return new
-
-
-@st.composite
-def custom_graph(draw, n):
-    """The custom-topology keys of a connected graph on n nodes (a random
-    tree plus extra edges) with Metropolis weights 1 / (1 + max(deg i, deg j)),
-    whose self-weights are positive."""
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
-    edges = sorted(edges | {(min(i, j), max(i, j)) for i, j in extra if i != j})
-    degree = np.bincount(np.ravel(edges), minlength=n)
-    weights = [1.0 / (1 + max(degree[i], degree[j])) for i, j in edges]
-    self_weights = [1.0 - sum(w for e, w in zip(edges, weights) if i in e) for i in range(n)]
-    return {
-        "topology.edges": [list(e) for e in edges],
-        "topology.edge_weights": weights,
-        "topology.self_weights": self_weights,
-    }
 
 
 @st.composite

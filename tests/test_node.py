@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from squarm.compress import CompressorSpec, decode
+from squarm.errors import ParameterError
 from squarm.node import (
     apply_incoming,
     consensus_step,
@@ -18,6 +19,11 @@ W3 = build_complete(3).w  # every node holds every other node's copy
 def fresh(n=3, d=3, variant="full_copy", x0=None):
     x0 = np.zeros((n, d)) if x0 is None else x0
     return make_state(x0, variant)
+
+
+def test_unknown_variant_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="unknown variant 'bogus'"):
+        make_state(np.zeros((3, 2)), "bogus")
 
 
 class TestLocalStep:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from squarm import verify
-from squarm.errors import ConnectivityError, NumericalError, StochasticityError, SymmetryError, TopologyError
+from squarm.errors import ParameterError, TopologyError
 from squarm.topology import (
     _validate,
     build_complete,
@@ -99,15 +99,15 @@ class TestBuildCustom:
     def test_asymmetric_weights_rejected(self):
         # star with both directions listed at different weights
         edges = [(0, 1), (1, 0), (0, 2), (2, 0)]
-        with pytest.raises(SymmetryError):
+        with pytest.raises(TopologyError, match=r"edge \(1, 0\) and \(0, 1\) given different weights"):
             build_custom(3, edges, [0.3, 0.4, 0.3, 0.3], [0.4, 0.7, 0.7])
 
     def test_bad_row_sums_rejected(self):
-        with pytest.raises(StochasticityError):
+        with pytest.raises(TopologyError, match="rows/columns must sum to 1"):
             build_custom(3, [(0, 1), (1, 2)], [0.5, 0.5], [0.5, 0.5, 0.5])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ConnectivityError) as err:
+        with pytest.raises(TopologyError, match="communication graph is not connected") as err:
             build_custom(4, [(0, 1), (2, 3)], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5])
         assert err.value.arg == "edges"
 
@@ -160,8 +160,13 @@ class TestSpectralQuantities:
 
     def test_failed_eigensolver_is_a_numerical_error(self):
         # eigvalsh raises LinAlgError ("did not converge") on a nan matrix
-        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        with pytest.raises(ParameterError, match="eigendecomposition failed"):
             spectral_quantities(np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matrix_below_2x2_is_a_parameter_error(self, n):
+        with pytest.raises(ParameterError, match=rf"n >= 2, got shape \({n}, {n}\)"):
+            spectral_quantities(np.ones((n, n)))
 
     def test_lambda_dev_equals_w_minus_i_norm(self):
         # the two definitions coincide for symmetric W
@@ -270,7 +275,7 @@ class TestPowerDeviation:
     ids=["unequal_pair", "one_sided_edge"],
 )
 def test_asymmetric_matrix_rejected(w):
-    with pytest.raises(SymmetryError):
+    with pytest.raises(TopologyError, match="weight matrix is not symmetric"):
         _validate(np.array(w))
 
 
