@@ -29,6 +29,8 @@ from .verify import SUITES, run_suites
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+# sweep --axis: each axis name and the config key it sets
+SWEEP_AXES = {"T": "T", "n": "topology.n", "H": "H", "k": "compressor.k"}
 
 
 def _parse_value(text: str):
@@ -138,12 +140,7 @@ def cmd_verify(args, extras) -> int:
 
 def cmd_sweep(args, extras) -> int:
     flat = _assemble(args, extras)
-    axis_key = {
-        "T": "T",
-        "n": "topology.n",
-        "H": "H",
-        "k": "compressor.k",
-    }[args.axis]
+    axis_key = SWEEP_AXES[args.axis]
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise SquarmError("sweep needs a non-empty comma-separated --values list")
@@ -194,7 +191,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one config across an axis")
     p_sweep.add_argument("--config", help="flat JSON config file")
     p_sweep.add_argument("--preset", help="named baseline to start from")
-    p_sweep.add_argument("--axis", required=True, choices=["T", "n", "H", "k"])
+    p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -218,13 +218,10 @@ def _as_edge(key: str, value) -> tuple[int, int]:
     return _as(int, key, value[0]), _as(int, key, value[1])
 
 
-def _entries(flat: dict, key: str, length: int | None, convert) -> list:
-    """The list at key, with length entries if given, each passed through
-    convert(key, entry); a ConfigError naming the key if it is not one."""
-    value = _require(flat, key)
-    if length not in (None, len(value)):
-        raise ConfigError(f"{key}: expected a list of {length} entries, got {value!r}")
-    return [convert(key, entry) for entry in value]
+def _entries(flat: dict, key: str, convert) -> list:
+    """The list at key, each entry passed through convert(key, entry); its
+    length is build_custom's to check."""
+    return [convert(key, entry) for entry in _require(flat, key)]
 
 
 def _require(flat: dict, key: str):
@@ -242,13 +239,12 @@ def _build_topology(flat: dict) -> MixingMatrix:
             return build_ring(n, flat["topology.self_weight"])
         if kind == "complete":
             return build_complete(n)
-        edges = _entries(flat, "topology.edges", None, _as_edge)
         as_float = partial(_as, float)
         return build_custom(
             n,
-            edges,
-            _entries(flat, "topology.edge_weights", len(edges), as_float),
-            _entries(flat, "topology.self_weights", n, as_float),
+            _entries(flat, "topology.edges", _as_edge),
+            _entries(flat, "topology.edge_weights", as_float),
+            _entries(flat, "topology.self_weights", as_float),
         )
     except TopologyError as exc:  # exc.arg is the builder argument, named like its key
         raise ConfigError(f"topology.{exc.arg}: {exc}") from None
@@ -383,11 +379,14 @@ def _resolve_lr(
         if T < min_T:
             warnings.append(f"T={T} below the non-convex admissibility minimum {min_T:.0f}")
         return sched.LrSchedule(kind="constant", eta=eta)
+    p = sched.p_of(gamma, topo.delta)
     if kind == "decaying":
-        return sched.LrSchedule(kind="decaying", b=_require(flat, "lr.b"), a=_require(flat, "lr.a"))
+        lr = sched.LrSchedule(kind="decaying", b=_require(flat, "lr.b"), a=_require(flat, "lr.a"))
+        if lr.a < 5 * H / p:  # auto_decaying warns against its a_min, which includes 5H/p
+            warnings.append("lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail")
+        return lr
     # an objective that is not strongly convex leaves mu to the config
     mu = obj.mu if flat["lr.mu"] is None and obj.mu > 0 else _require(flat, "lr.mu")
-    p = sched.p_of(gamma, topo.delta)
     a_min = sched.min_a_strongly_convex(H, p, obj.L, mu, beta)
     a = flat["lr.a"]
     a = a if a is not None else a_min
@@ -426,11 +425,6 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     gamma = _resolve_gamma(flat, topo, comp, obj.d)
     lr = _resolve_lr(flat, obj, topo, gamma, warnings)
     threshold = _build_threshold(flat)
-    if lr.kind == "decaying":
-        if lr.a < 5 * flat["H"] / sched.p_of(gamma, topo.delta):
-            warnings.append(
-                "lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail"
-            )
     cfg = RunConfig(
         topology=topo,
         objective=obj,

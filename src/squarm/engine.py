@@ -99,7 +99,6 @@ class Diagnostics:
 @dataclass
 class RunResult:
     rows: list[MetricsRow]
-    x_bar: np.ndarray
     x_avg: np.ndarray | None
     total_bits: int
     config: RunConfig
@@ -155,8 +154,7 @@ def run(cfg: RunConfig) -> RunResult:
     G = np.zeros((n, d))  # this step's stochastic gradients, row per node
 
     eval_every = cfg.eval_every if cfg.eval_every else max(1, cfg.T // 200)
-    constant_lr = cfg.lr.kind == "constant"
-    decaying = cfg.lr.kind == "decaying"
+    decaying = cfg.lr.kind == "decaying"  # else constant: LrSchedule has no third kind
 
     bits_cum = 0
     messages = 0
@@ -165,7 +163,8 @@ def run(cfg: RunConfig) -> RunResult:
     diag = Diagnostics()
     trace = [] if cfg.trace else None
 
-    # weighted-average accumulator (two running sums; O(d) for any T)
+    # weighted-average accumulator (two running sums; O(d) for any T); each
+    # step adds w_t = (a + t)^2 >= 1 before any row or result reads it
     wavg_acc = np.zeros(d) if decaying else None
     wavg_sum = 0.0
 
@@ -189,10 +188,8 @@ def run(cfg: RunConfig) -> RunResult:
             bits_cum=bits_cum,
             messages=messages,
             triggers=triggers,
-            virtual_residual=vres_since_eval if cfg.diagnostics and constant_lr else None,
-            weighted_avg_loss=(
-                obj_ops.loss(obj, wavg_acc / wavg_sum) if decaying and wavg_sum > 0 else None
-            ),
+            virtual_residual=vres_since_eval if cfg.diagnostics and not decaying else None,
+            weighted_avg_loss=obj_ops.loss(obj, wavg_acc / wavg_sum) if decaying else None,
         )
         vres_since_eval = 0.0
         return row
@@ -200,8 +197,7 @@ def run(cfg: RunConfig) -> RunResult:
     def result(kept: list[MetricsRow]) -> RunResult:
         return RunResult(
             rows=kept,
-            x_bar=X.mean(axis=0),
-            x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
+            x_avg=wavg_acc / wavg_sum if decaying else None,
             total_bits=bits_cum,
             config=cfg,
             diagnostics=diag,
@@ -266,7 +262,7 @@ def run(cfg: RunConfig) -> RunResult:
         # serves the next step's gradients and this step's metrics row
         exact = obj_ops.shared_curvature_grads(obj, X)
 
-        if cfg.diagnostics and constant_lr:
+        if cfg.diagnostics and not decaying:
             defect, x_tilde = virtual_residual(
                 x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
             )

@@ -77,7 +77,7 @@ def power_deviation(w: np.ndarray, k: int) -> float:
     spectral pipeline.
     """
     if k < 0:
-        raise TopologyError("k must be >= 0")
+        raise ParameterError("k must be >= 0")
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     j = np.full((n, n), 1.0 / n)
@@ -87,9 +87,8 @@ def power_deviation(w: np.ndarray, k: int) -> float:
 def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> MixingMatrix:
     """w checked and frozen in place, with its neighbour lists and its
     (delta, lambda_dev): the builder's closed form if given, else eigvalsh's."""
-    # every builder hands over an n x n matrix; the error args name
+    # every builder hands over a fresh n x n float matrix; the error args name
     # build_custom's arguments, since ring and complete matrices always pass
-    w = np.asarray(w, dtype=float)
     n = w.shape[0]
     rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
     # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T

@@ -290,7 +290,6 @@ def run(cfg: RunConfig) -> RunResult:
 
     return RunResult(
         rows=rows,
-        x_bar=x_bar_now(),
         x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
         total_bits=bits_cum,
         config=cfg,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from squarm import verify
 from squarm.cli import main
 from squarm.config import KEYS, UNSET
 from squarm.engine import Diagnostics
@@ -373,6 +374,35 @@ class TestRun:
             assert flag[2:].partition("=")[0] in err and "Traceback" not in err, (flag, err)
 
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--topology.edge_weights=[0.5]", "topology.edge_weights: edges and edge_weights must have equal length"),
+            ("--topology.self_weights=[0.5,0.5]", "topology.self_weights: self_weights must have one entry per node"),
+        ],
+    )
+    def test_short_custom_topology_lists_name_their_key(self, tmp_path, capsys, flag, message):
+        custom = ["run", "--out", str(tmp_path), "--T=2", "--topology.kind=custom", "--topology.n=3",
+                  "--topology.edges=[[0,1],[1,2]]", "--topology.edge_weights=[0.5,0.5]",
+                  "--topology.self_weights=[0.5,0.0,0.5]"]
+        assert main([*custom, flag]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, warning",
+        [
+            # auto_decaying's admissibility minimum already includes 5H/p: one warning, not two
+            (["--lr.kind=auto_decaying", "--lr.a=2"], "lr.a=2.0 below the admissibility minimum 1280.0"),
+            (
+                ["--lr.kind=decaying", "--lr.b=1", "--lr.a=2"],
+                "lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail",
+            ),
+        ],
+    )
+    def test_lr_a_below_its_minimum_warns_once(self, tmp_path, capsys, flags, warning):
+        assert main(["run", "--out", str(tmp_path), "--T=5", *flags]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+
 class TestVerify:
     def test_spectral_suite_passes(self, capsys):
         assert main(["verify", "--suite", "spectral"]) == 0
@@ -381,6 +411,20 @@ class TestVerify:
 
     def test_schedules_suite_passes(self):
         assert main(["verify", "--suite", "schedules"]) == 0
+
+    @pytest.mark.parametrize("suite", ["compression", "identities"])
+    def test_suite_passes(self, suite, capsys):
+        assert main(["verify", "--suite", suite]) == 0
+        out = capsys.readouterr().out
+        assert "pass" in out and "FAIL" not in out
+
+    def test_failed_check_exits_1_naming_it(self, capsys, monkeypatch):
+        checks = [("holds", True, "1 vs bound 2"), ("breaks", False, "3 vs bound 2")]
+        monkeypatch.setitem(verify.SUITES, "schedules", lambda: checks)
+        assert main(["verify", "--suite", "schedules"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "holds   pass\nbreaks  FAIL  (3 vs bound 2)\n1/2 checks passed\n"
+        assert err == "first failure: breaks 3 vs bound 2\n"
 
 
 class TestSweep:

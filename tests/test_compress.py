@@ -274,3 +274,27 @@ def test_non_finite_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ParameterError):
         CompressorSpec("middle_k", k=3)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: CompressorSpec("top_k"), "top_k needs k >= 1"),
+        (lambda: CompressorSpec("sign_top_k", k=0), "sign_top_k needs k >= 1"),
+        (lambda: CompressorSpec("qsgd"), "qsgd needs s >= 1"),
+        (lambda: CompressorSpec("qsgd_top_k", k=2, s=0), "qsgd_top_k needs s >= 1"),
+        (lambda: CompressorSpec("identity", value_bits=0), "value_bits must be >= 1"),
+        (
+            lambda: bit_cost(
+                CompressorSpec("identity"),
+                9,
+                compress(CompressorSpec("identity"), np.ones(8), np.random.default_rng(0)),
+            ),
+            "message dimension 8 != 9",
+        ),
+    ],
+    ids=["k_unset", "k_zero", "s_unset", "s_zero", "value_bits", "bit_cost_dimension"],
+)
+def test_argument_guards(build, match):
+    with pytest.raises(ParameterError, match=match):
+        build()

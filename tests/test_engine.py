@@ -194,6 +194,10 @@ class TestRunBasics:
                 dataclasses.replace(cfg, **{name: value})
             assert str(err.value).startswith(f"{name}:"), (value, str(err.value))
 
+    def test_direct_node_counts_must_agree(self):
+        with pytest.raises(ConfigError, match="objective and topology disagree on node count"):
+            dataclasses.replace(quick_config(T=5), topology=build_ring(5))
+
     def test_direct_fields_are_coerced_like_config_values(self):
         cfg = dataclasses.replace(quick_config(T=5), T=5.0, beta=0, diagnostics=1)
         assert (type(cfg.T), type(cfg.beta), cfg.diagnostics) == (int, float, True)

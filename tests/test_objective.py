@@ -276,6 +276,50 @@ class TestDataHandling:
             from_shards("least_squares", [np.zeros((0, 2))], [np.zeros(0)])
 
 
+def one_column_dataset(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("0\n1\n")
+    return load_dataset(str(path))
+
+
+# a node with no samples, which from_shards refuses to build
+EMPTY_SHARD = ObjectiveSet(
+    kind="least_squares", n=1, d=2, L=1.0, mu=0.0, feats=(np.zeros((0, 2)),), labels=(np.zeros(0),)
+)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (
+            lambda _: quadratic_objective(2, 3, np.random.default_rng(0), mu=2.0, L=1.0),
+            ParameterError,
+            "need 0 < mu <= L",
+        ),
+        (
+            lambda _: from_shards("bogus", [np.ones((2, 2))], [np.ones(2)]),
+            ParameterError,
+            "unknown sample-based kind 'bogus'",
+        ),
+        (
+            lambda _: partition_heterogeneous(np.zeros((0, 2)), np.zeros(0), 2, "iid", np.random.default_rng(0)),
+            DataError,
+            "dataset is empty",
+        ),
+        (one_column_dataset, DataError, "dataset rows need at least one feature and a label"),
+        (
+            lambda _: stochastic_grad(EMPTY_SHARD, 0, np.zeros(2), np.random.default_rng(0)),
+            DataError,
+            "node 0 has no local samples",
+        ),
+    ],
+    ids=["mu_above_L", "unknown_kind", "empty_dataset", "one_column_file", "empty_shard_grad"],
+)
+def test_argument_and_data_guards(tmp_path, build, error, match):
+    with pytest.raises(error, match=match):
+        build(tmp_path)
+
+
 class TestClip:
     def test_inside_ball_untouched(self):
         g = np.array([0.3, 0.4])

@@ -200,3 +200,24 @@ class TestScheduleTypes:
     def test_bad_piecewise_period(self):
         with pytest.raises(ParameterError):
             ThresholdSchedule("piecewise", init=1.0, step=1.0, period=0)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: LrSchedule(kind="decaying", a=2.0), "decaying lr needs b > 0"),
+            (lambda: LrSchedule(kind="decaying", b=0.0, a=2.0), "decaying lr needs b > 0"),
+            (lambda: LrSchedule(kind="cyclic", eta=0.1), "unknown lr kind 'cyclic'"),
+            (lambda: ThresholdSchedule("sometimes"), "unknown threshold kind 'sometimes'"),
+            (lambda: ThresholdSchedule("const_eta", c0=-1.0), "threshold c0 must be >= 0"),
+            (lambda: ThresholdSchedule("piecewise", init=-1.0), r"piecewise threshold needs init, step >= 0"),
+            (lambda: ThresholdSchedule("piecewise", step=-1.0), r"piecewise threshold needs init, step >= 0"),
+            (lambda: constant_lr(8, 0, 0.0), "T must be >= 1"),
+            (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), "p must be > 0"),
+            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), "mu must be > 0"),
+            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"beta must be in \[0, 1\)"),
+        ],
+        ids=["b_unset", "b_zero", "lr_kind", "threshold_kind", "c0", "init", "step", "T", "p", "mu", "beta"],
+    )
+    def test_argument_guards(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build()

@@ -129,6 +129,20 @@ class TestBuildCustom:
             build()
         assert err.value.arg == arg
 
+    @pytest.mark.parametrize(
+        "build, match, arg",
+        [
+            (lambda: build_custom(2, [(0, 1)], [0.5], [-0.5, 0.5]), "negative entries", "self_weights"),
+            # the two-node swap: eigenvalues 1 and -1
+            (lambda: build_custom(2, [(0, 1)], [1.0], [0.0, 0.0]), "spectral gap is not positive", "self_weights"),
+        ],
+        ids=["negative_self_weight", "zero_spectral_gap"],
+    )
+    def test_matrix_guards(self, build, match, arg):
+        with pytest.raises(TopologyError, match=match) as err:
+            build()
+        assert err.value.arg == arg
+
     def test_reproduces_build_ring(self):
         ring = build_ring(6, 0.4)
         edges, weights = [], []
@@ -248,6 +262,10 @@ class TestPowerDeviation:
     def test_k0_is_one(self):
         w = build_ring(8, 1 / 3)
         assert power_deviation(w.w, 0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_negative_k_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="k must be >= 0"):
+            power_deviation(build_ring(8).w, -1)
 
     def test_complete_k1_is_zero(self):
         w = build_complete(6)
