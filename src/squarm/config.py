@@ -268,7 +268,31 @@ def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # two reductions, no copy of a
 
 
-def _build_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet:
+# the keys an objective is built from: equal values build bitwise-equal objectives
+_OBJECTIVE_KEYS = ("seed", "topology.n", *(key for key in KEYS if key.startswith("objective.")))
+# the last objective built from a config, under its key: at most one entry
+_last_objective: dict[tuple, obj_ops.ObjectiveSet] = {}
+
+
+def _build_objective(flat: dict) -> obj_ops.ObjectiveSet:
+    """The objective flat describes, its arrays read-only so that the runs
+    that share it cannot change it; the one built last is reused while the
+    key is unchanged, so a sweep over T, H or the compressor builds it once.
+    One read from a dataset file is never reused: the file can change."""
+    memo_key = tuple(repr(flat[key]) for key in _OBJECTIVE_KEYS)  # repr tells -0.0 from 0.0
+    if memo_key in _last_objective:
+        return _last_objective[memo_key]
+    _last_objective.clear()  # the held one is not kept alive through the build
+    obj = _new_objective(flat, data_stream(flat["seed"]))
+    for a in (obj.quad_a, obj.quad_b, obj.quad_const, *obj.feats, *obj.labels):
+        if a is not None:
+            a.setflags(write=False)
+    if not flat["objective.dataset_path"]:
+        _last_objective[memo_key] = obj
+    return obj
+
+
+def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet:
     kind = flat["objective.kind"]
     n = flat["topology.n"]
     d = flat["objective.d"]
@@ -419,7 +443,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     flat = {key: _coerce(key, flat.get(key)) for key in KEYS}
     warnings: list[str] = []
     topo = _build_topology(flat)
-    obj = _build_objective(flat, data_stream(flat["seed"]))
+    obj = _build_objective(flat)
     _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     comp = _build_compressor(flat, obj.d)
     gamma = _resolve_gamma(flat, topo, comp, obj.d)

@@ -2,16 +2,18 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from squarm import verify
+from squarm import objective, verify
 from squarm.cli import main
-from squarm.config import KEYS, UNSET
-from squarm.engine import Diagnostics
+from squarm.config import KEYS, UNSET, build_run_config
+from squarm.engine import Diagnostics, run
 from test_config_properties import bounds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -482,6 +484,47 @@ class TestSweep:
         assert [r["value"] for r in rows] == ["1"]
         assert "run diverged (T=100)" in capsys.readouterr().err
 
+
+    def test_k_sweep_builds_its_objective_once_and_matches_fresh_runs(self, tmp_path, monkeypatch):
+        calls = []
+        build = objective.quadratic_objective
+        monkeypatch.setattr(objective, "quadratic_objective", lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        flags = ["--preset", "squarm", "--topology.n=4", "--objective.d=300", "--T=40", "--seed=1",
+                 "--objective.noise_sigma=0.1", "--x0_scale=1"]
+        assert main(["sweep", *flags, "--axis", "k", "--values", "5,10,20", "--out", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 1
+        points = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()))
+        assert [point["value"] for point in points] == ["5", "10", "20"]
+        for point in points:
+            # a fresh process builds its own objective, under this process's BLAS settings
+            value = point.pop("value")
+            out = tmp_path / f"k{value}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "squarm", "run", *flags, f"--compressor.k={value}", "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            last = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))[-1]
+            assert point == {name: last[name] for name in point}, value
+
+    def test_a_point_is_released_before_the_next_one_builds(self, tmp_path, monkeypatch):
+        results, dead = [], []
+
+        def checked_build(flat):
+            dead.append([ref() is None for ref in results])
+            return build_run_config(flat)
+
+        def kept_run(cfg):
+            result = run(cfg)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr("squarm.cli.build_run_config", checked_build)
+        monkeypatch.setattr("squarm.cli.run", kept_run)
+        args = ["sweep", "--axis", "k", "--values", "2,4,6", "--out", str(tmp_path), "--trace=true",
+                "--compressor.kind=top_k", "--T=30"]
+        assert main(args) == 0
+        assert dead == [[], [True], [True, True]]
 
     def test_refused_point_exits_2_and_keeps_finished_points(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -1,0 +1,134 @@
+"""The objective set-up memo of squarm.config: a config reuses the objective
+the previous one built while the seed, the node count and every objective
+key are unchanged, and every config-built objective is read-only."""
+
+import re
+
+import numpy as np
+import pytest
+
+from squarm import config
+from squarm.config import KEYS, build_run_config, merged
+from squarm.errors import ConfigError
+
+BASE = {"topology.n": 4, "objective.d": 6, "objective.samples_per_node": 5, "T": 10, "seed": 3}
+SAMPLE_KINDS = ("least_squares", "least_squares_nonconvex", "logistic_l2")
+
+
+def objective(**overrides):
+    cfg, _ = build_run_config(merged(BASE, overrides))
+    return cfg.objective
+
+
+def arrays(obj):
+    quad = [a for a in (obj.quad_a, obj.quad_b, obj.quad_const) if a is not None]
+    return [*quad, *obj.feats, *obj.labels]
+
+
+def as_bytes(obj):
+    """Every field of obj, each array as its raw bytes."""
+    fields = {name: value for name, value in vars(obj).items() if name not in ("feats", "labels")}
+    fields = {name: v.tobytes() if isinstance(v, np.ndarray) else v for name, v in fields.items()}
+    return fields, [a.tobytes() for a in obj.feats], [a.tobytes() for a in obj.labels]
+
+
+def write_dataset(path, seed):
+    data = np.random.default_rng(seed).standard_normal((12, 4))
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+
+
+class TestObjectiveMemo:
+    def test_an_equal_key_returns_the_same_object(self):
+        first = objective()
+        assert objective() is first
+        # keys outside the objective's do not go into the memo's key
+        assert objective(T=20, H=5, x0_scale=1.0, **{"compressor.kind": "top_k", "compressor.k": 2}) is first
+
+    @pytest.mark.parametrize("kind", ["quadratic", *SAMPLE_KINDS])
+    def test_a_hit_is_bitwise_a_fresh_build(self, kind):
+        hit = objective(**{"objective.kind": kind})
+        assert objective(**{"objective.kind": kind}) is hit
+        config._last_objective.clear()
+        fresh = objective(**{"objective.kind": kind})
+        assert fresh is not hit
+        assert as_bytes(hit) == as_bytes(fresh)
+
+    # one changed value for every key the objective is built from
+    CHANGED = {
+        "seed": 4,
+        "topology.n": 5,
+        "objective.kind": "least_squares",
+        "objective.d": 7,
+        "objective.noise_sigma": 0.3,
+        "objective.mu": 0.5,
+        "objective.L": 12.0,
+        "objective.hetero_scale": 2.0,
+        "objective.samples_per_node": 6,
+        "objective.batch_size": 2,
+        "objective.alpha": 0.2,
+        "objective.l2_reg": 0.02,
+        "objective.partition_mode": "sorted_by_label",
+        "objective.dataset_path": "unread.csv",  # the quadratic reads no dataset
+    }
+
+    def test_every_objective_key_is_changed_below(self):
+        assert {key for key in KEYS if key.startswith("objective.")} <= set(self.CHANGED)
+
+    @pytest.mark.parametrize("key, value", list(CHANGED.items()) + [("objective.noise_sigma", -0.0)])
+    def test_a_changed_key_value_rebuilds(self, key, value):
+        first = objective()
+        changed = objective(**{key: value})
+        assert changed is not first
+        assert objective() is not changed  # and changing it back rebuilds again
+
+    def test_only_the_last_objective_is_held(self):
+        objective()
+        last = objective(seed=4)
+        assert [held is last for held in config._last_objective.values()] == [True]
+
+    def test_negative_zero_builds_its_own_objective(self):
+        assert repr(objective(**{"objective.noise_sigma": -0.0}).noise_sigma) == "-0.0"
+        assert repr(objective(**{"objective.noise_sigma": 0.0}).noise_sigma) == "0.0"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"objective.L": 1.7e308}, "objective.L: 1.7e+308 is too large, the curvature matrix overflows"),
+            ({"objective.d": 10**10}, "objective.d: 10000000000 is too large"),
+        ],
+        ids=["overflowing_L", "oversized_d"],
+    )
+    def test_a_failing_build_raises_again(self, overrides, message):
+        objective()
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                objective(**overrides)
+
+    def test_a_dataset_objective_reads_its_file_again(self, tmp_path):
+        data = tmp_path / "data.csv"
+        overrides = {"objective.kind": "least_squares", "objective.dataset_path": str(data)}
+        write_dataset(data, 0)
+        first = objective(**overrides)
+        write_dataset(data, 1)
+        second = objective(**overrides)
+        assert not np.array_equal(np.concatenate(first.feats), np.concatenate(second.feats))
+        assert config._last_objective == {}
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("kind", ["quadratic", *SAMPLE_KINDS])
+    def test_every_array_is_read_only_on_a_miss_and_a_hit(self, kind):
+        for _ in range(2):
+            obj = objective(**{"objective.kind": kind})
+            assert all(not a.flags.writeable for a in arrays(obj))
+
+    def test_a_write_to_the_curvature_matrix_raises(self):
+        cfg, _ = build_run_config(merged(BASE))
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.objective.quad_a[0, 0] = 1.0
+
+    def test_a_dataset_objective_is_read_only(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_dataset(data, 0)
+        obj = objective(**{"objective.kind": "logistic_l2", "objective.dataset_path": str(data)})
+        assert all(not a.flags.writeable for a in arrays(obj))
