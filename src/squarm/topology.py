@@ -14,10 +14,15 @@ this module assumes symmetry throughout and does not support asymmetric
 weights. A connected, aperiodic weighting gives delta in (0, 1] and
 lambda_dev in (0, 2].
 
-Rings and complete graphs take both quantities in closed form from their
-known spectra; only a custom graph calls the O(n^3) eigensolver
-(spectral_quantities, numpy's eigvalsh), which `squarm verify` keeps as the
-oracle of the closed forms.
+Rings and complete graphs are valid by construction: their builders fill w,
+list each node's neighbours from the indices they fill, and take both
+quantities in closed form from the graphs' known spectra. Only a custom
+graph, whose weights come from the user, pays for the full check (symmetry,
+sign, row and column sums, connectedness) and for the O(n^3) eigensolver
+(spectral_quantities, numpy's eigvalsh). The test suite holds the ring and
+complete builders to that check, and with `squarm verify` their closed forms
+to eigvalsh. Every builder checks the spectral gap, since rounding can make
+it exactly 0.
 """
 
 from __future__ import annotations
@@ -84,11 +89,10 @@ def power_deviation(w: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(np.linalg.matrix_power(w, k) - j, 2))
 
 
-def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> MixingMatrix:
-    """w checked and frozen in place, with its neighbour lists and its
-    (delta, lambda_dev): the builder's closed form if given, else eigvalsh's."""
-    # every builder hands over a fresh n x n float matrix; the error args name
-    # build_custom's arguments, since ring and complete matrices always pass
+def _validate(w: np.ndarray) -> MixingMatrix:
+    """A custom graph's w checked in full and frozen in place, with its
+    neighbour lists and eigvalsh's (delta, lambda_dev)."""
+    # the weights come from the user: the error args name build_custom's arguments
     n = w.shape[0]
     rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
     # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T
@@ -106,11 +110,26 @@ def _validate(w: np.ndarray, spectrum: tuple[float, float] | None = None) -> Mix
     adjacency = _adjacency(n, rows, cols)
     if not _connected(adjacency):
         raise TopologyError("communication graph is not connected", "edges")
-    delta, lambda_dev = spectral_quantities(w) if spectrum is None else spectrum
+    return _mixing(w, adjacency, spectral_quantities(w), "self_weights")
+
+
+def _mixing(
+    w: np.ndarray,
+    adjacency: tuple[tuple[int, ...], ...],
+    spectrum: tuple[float, float],
+    arg: str,
+) -> MixingMatrix:
+    """The MixingMatrix of a builder's fresh w, frozen in place, once its
+    spectral gap is positive; arg names the builder argument that sets the gap.
+
+    Rounding can make the gap exactly 0 even where the builder's arguments
+    are in range (a ring's self_weight within about 1e-17 of 0 or 1), so
+    every builder checks it."""
+    delta, lambda_dev = spectrum
     if delta <= 0:
-        raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", "self_weights")
-    w.setflags(write=False)  # every builder hands over a matrix of its own
-    return MixingMatrix(n=n, w=w, delta=delta, lambda_dev=lambda_dev, adjacency=adjacency)
+        raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", arg)
+    w.setflags(write=False)
+    return MixingMatrix(n=w.shape[0], w=w, delta=delta, lambda_dev=lambda_dev, adjacency=adjacency)
 
 
 def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -150,7 +169,8 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
 
     The resulting matrix is circulant, so its eigenvalues are
     self_weight + (1 - self_weight) * cos(2 pi k / n); delta and lambda_dev
-    are read from them (_ring_spectrum).
+    are read from them (_ring_spectrum). Node i's neighbours are
+    (i - 1) % n and (i + 1) % n, ascending.
     """
     if n < 3:
         raise TopologyError(f"ring needs n >= 3, got n={n}", "n")
@@ -158,11 +178,13 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
         raise TopologyError(f"self_weight must be in (0, 1), got {self_weight}", "self_weight")
     w = np.zeros((n, n))
     i = np.arange(n)
+    left, right = (i - 1) % n, (i + 1) % n  # n >= 3: the two neighbours are distinct
     side = (1.0 - self_weight) / 2.0
     w[i, i] = self_weight
-    w[i, (i - 1) % n] = side  # n >= 3: the two neighbours are distinct
-    w[i, (i + 1) % n] = side
-    return _validate(w, _ring_spectrum(n, self_weight))
+    w[i, left] = side
+    w[i, right] = side
+    adjacency = tuple(zip(np.minimum(left, right).tolist(), np.maximum(left, right).tolist()))
+    return _mixing(w, adjacency, _ring_spectrum(n, self_weight), "self_weight")
 
 
 def build_complete(n: int) -> MixingMatrix:
@@ -170,7 +192,9 @@ def build_complete(n: int) -> MixingMatrix:
     since W = J has eigenvalues 1 and 0."""
     if n < 2:
         raise TopologyError(f"complete graph needs n >= 2, got n={n}", "n")
-    return _validate(np.full((n, n), 1.0 / n), (1.0, 1.0))
+    nodes = tuple(range(n))
+    adjacency = tuple(nodes[:i] + nodes[i + 1 :] for i in range(n))
+    return _mixing(np.full((n, n), 1.0 / n), adjacency, (1.0, 1.0), "n")
 
 
 def build_custom(

@@ -362,6 +362,13 @@ class TestRun:
         assert main(["run", "--out", str(tmp_path), "--T=2", *flags]) == 2
         assert capsys.readouterr().err == "error: topology.edges: communication graph is not connected\n"
 
+    def test_ring_without_spectral_gap_names_self_weight(self, tmp_path, capsys):
+        # an even ring's lowest eigenvalue 2s - 1 rounds to -1 at s = 1e-17
+        assert main(["run", "--out", str(tmp_path), "--T=2", "--topology.self_weight=1e-17"]) == 2
+        assert capsys.readouterr().err == (
+            "error: topology.self_weight: spectral gap is not positive (delta=0.000e+00)\n"
+        )
+
     def test_custom_topology_lists_are_shape_checked(self, tmp_path, capsys):
         custom = ["run", "--out", str(tmp_path), "--T=2", "--topology.kind=custom", "--topology.n=3",
                   "--topology.edges=[[0,1],[1,2]]", "--topology.edge_weights=[0.5,0.5]",

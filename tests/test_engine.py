@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
-from oracles import gossip_sgd_trajectory
+from oracles import gossip_sgd_trajectory, node_average_trajectory
 from squarm.compress import KINDS, CompressorSpec
 from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
 from squarm.engine import (
@@ -395,22 +395,23 @@ def assert_matches_reference(cfg: RunConfig):
 
 
 @st.composite
-def drawn_configs(draw):
+def drawn_configs(draw, objective_kinds=KEYS["objective.kind"].valid, compressors=KINDS, clip=True):
     """Small runs over every compressor, threshold, variant, accounting,
-    step-size kind, objective kind and graph kind. Gradient noise (or
-    minibatches) and random starts make an exact tie at a strict trigger
-    test a probability-zero event."""
+    step-size kind, objective kind and graph kind (or the given objective
+    and compressor kinds; clip=False leaves gradients unclipped). Gradient
+    noise (or minibatches) and random starts make an exact tie at a strict
+    trigger test a probability-zero event."""
     n, d = draw(st.integers(3, 8)), draw(st.integers(2, 12))
     flat = {
         "topology.n": n,
         "objective.d": d,
-        "objective.kind": draw(st.sampled_from(KEYS["objective.kind"].valid)),
+        "objective.kind": draw(st.sampled_from(objective_kinds)),
         "objective.mu": 0.5,
         "objective.L": draw(st.floats(0.5, 4.0)),
         "objective.noise_sigma": draw(st.floats(0.01, 1.0)),
         "objective.samples_per_node": draw(st.integers(1, 8)),
         "objective.batch_size": draw(st.integers(1, 4)),
-        "compressor.kind": draw(st.sampled_from(KINDS)),
+        "compressor.kind": draw(st.sampled_from(compressors)),
         "compressor.k": draw(st.integers(1, d)),
         "compressor.s": draw(st.integers(1, 8)),
         "threshold.kind": draw(st.sampled_from(KEYS["threshold.kind"].valid)),
@@ -428,7 +429,7 @@ def drawn_configs(draw):
         "seed": draw(st.integers(0, 2**16)),
         "variant": draw(st.sampled_from(KEYS["variant"].valid)),
         "accounting": draw(st.sampled_from(KEYS["accounting"].valid)),
-        "grad_clip": draw(st.none() | st.floats(0.5, 5.0)),
+        "grad_clip": draw(st.none() | st.floats(0.5, 5.0)) if clip else None,
         "x0_scale": draw(st.floats(0.0, 2.0, exclude_min=True)),
         "diagnostics": True,
         "trace": True,
@@ -461,6 +462,27 @@ class TestFrozenReference:
         new = assert_matches_reference(cfg)
         for name, m in identities(new).items():
             assert m.ok, (name, m)
+
+
+# the compressors that draw nothing from the node streams, which the noise uses
+DETERMINISTIC_KINDS = ("identity", "top_k", "scaled_sign", "sign_top_k")
+
+
+class TestNodeAverageOracle:
+    """On the quadratic kind the node average is centralized momentum SGD
+    (oracles.node_average_trajectory), whatever the graph, compressor,
+    trigger, variant or accounting; clipping would break the linearity."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(drawn_configs(objective_kinds=("quadratic",), compressors=DETERMINISTIC_KINDS, clip=False))
+    def test_matches_on_drawn_configs(self, flat):
+        cfg, _ = build_run_config(merged(flat))
+        result = run(cfg)
+        oracle = node_average_trajectory(cfg.objective, cfg.lr, cfg.beta, cfg.T, cfg.seed, cfg.x0_scale)
+        for t, X in enumerate(result.trace):
+            x_bar = oracle[t + 1]
+            err = np.abs(X.mean(axis=0) - x_bar).max()
+            assert err <= 1e-12 * max(1.0, np.abs(x_bar).max()), (t, err)
 
 
 class CountingMatrix(np.ndarray):

@@ -135,8 +135,10 @@ class TestBuildCustom:
             (lambda: build_custom(2, [(0, 1)], [0.5], [-0.5, 0.5]), "negative entries", "self_weights"),
             # the two-node swap: eigenvalues 1 and -1
             (lambda: build_custom(2, [(0, 1)], [1.0], [0.0, 0.0]), "spectral gap is not positive", "self_weights"),
+            # in range, but 2s - 1 rounds to -1: the even ring's gap is exactly 0
+            (lambda: build_ring(8, 1e-17), "spectral gap is not positive", "self_weight"),
         ],
-        ids=["negative_self_weight", "zero_spectral_gap"],
+        ids=["negative_self_weight", "zero_spectral_gap", "ring_gap_rounds_to_zero"],
     )
     def test_matrix_guards(self, build, match, arg):
         with pytest.raises(TopologyError, match=match) as err:
@@ -240,6 +242,34 @@ class TestClosedFormSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         build_custom(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0.25] * 4, [0.5] * 4)
         assert shapes == [(4, 4)]
+
+
+class TestValidByConstruction:
+    """Ring and complete set-up skips the full check and eigvalsh; the full
+    check must accept every such matrix and find the builder's neighbour
+    lists, and eigvalsh its spectrum to CLOSED_FORM_TOL (the two spectra
+    differ in the last bits at some n, so they cannot be held bitwise)."""
+
+    @staticmethod
+    def assert_rechecked(built):
+        w = built.w.copy()  # _validate freezes what it checks
+        full = _validate(w)
+        assert full.n == built.n
+        assert full.w.tobytes() == built.w.tobytes()
+        assert full.adjacency == built.adjacency
+        assert all(type(j) is int for row in built.adjacency for j in row)
+        assert abs(full.delta - built.delta) < verify.CLOSED_FORM_TOL
+        assert abs(full.lambda_dev - built.lambda_dev) < verify.CLOSED_FORM_TOL
+        assert not built.w.flags.writeable
+
+    @pytest.mark.parametrize("s", verify.RING_SELF_WEIGHTS)
+    @pytest.mark.parametrize("n", verify.RING_SIZES)
+    def test_ring(self, n, s):
+        self.assert_rechecked(build_ring(n, s))
+
+    @pytest.mark.parametrize("n", verify.COMPLETE_SIZES)
+    def test_complete(self, n):
+        self.assert_rechecked(build_complete(n))
 
 
 @pytest.mark.parametrize(
