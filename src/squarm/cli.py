@@ -158,7 +158,7 @@ def cmd_sweep(args, extras) -> int:
             last = result.rows[-1]
             lines.append(csv_line((value, *(getattr(last, name) for name in FINAL_FIELDS))))
             print(f"{args.axis}={value}: loss={last.loss:.6g} bits={last.bits_cum}")
-            del result, last  # the next point builds and runs without this one's rows and trace
+            del result, last  # the next point builds and runs without this one's rows
     finally:  # a divergent or refused point keeps the points finished so far
         _write(args.out, {"sweep.csv": "\n".join(lines) + "\n"})
     return code

@@ -88,7 +88,6 @@ KEYS: dict[str, Key] = {
     "x0_scale": Key(float, 0.0),
     "eval_every": Key(int, UNSET, _COUNT),
     "grad_clip": Key(float, UNSET, _POSITIVE),
-    "trace": Key(bool),
 }
 
 
@@ -186,7 +185,6 @@ class RunConfig:
     parallel: bool = KEYS["parallel"].default
     grad_clip: float | None = KEYS["grad_clip"].default
     x0_scale: float = KEYS["x0_scale"].default
-    trace: bool | None = KEYS["trace"].default
     raw: dict = field(default_factory=dict)  # config echo for summaries
 
     def __post_init__(self):
@@ -225,7 +223,7 @@ def _entries(flat: dict, key: str, convert) -> list:
 
 
 def _require(flat: dict, key: str):
-    if key not in flat or flat[key] is None:
+    if flat[key] is None:
         raise ConfigError(f"missing config key {key!r}")
     return flat[key]
 
@@ -369,7 +367,7 @@ def _build_compressor(flat: dict, d: int) -> CompressorSpec:
 def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int) -> float:
     kind = flat["gamma.kind"]
     if kind == "explicit":
-        return _require(flat, "gamma.value")
+        return flat["gamma.value"]
     omega = flat["gamma.omega"]
     if omega is None:
         omega = omega_of(comp, d)

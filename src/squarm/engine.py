@@ -103,7 +103,6 @@ class RunResult:
     total_bits: int
     config: RunConfig
     diagnostics: Diagnostics
-    trace: list[np.ndarray] | None = None
 
 
 def initial_positions(x0_rng: np.random.Generator, n: int, d: int, scale: float) -> np.ndarray:
@@ -146,7 +145,7 @@ def run(cfg: RunConfig) -> RunResult:
     obj = cfg.objective
     n, d = W.n, obj.d
     # the copies of one message a node's send makes: one broadcast, or one per neighbour
-    fanout = [1] * n if cfg.accounting == "broadcast" else [len(W.neighbors(i)) for i in range(n)]
+    fanout = [1] * n if cfg.accounting == "broadcast" else [len(W.adjacency[i]) for i in range(n)]
 
     _, x0_rng, node_rngs = seed_streams(cfg.seed, n)
     state = node_ops.make_state(initial_positions(x0_rng, n, d, cfg.x0_scale), cfg.variant)
@@ -161,7 +160,6 @@ def run(cfg: RunConfig) -> RunResult:
     triggers = 0
     rows: list[MetricsRow] = []
     diag = Diagnostics()
-    trace = [] if cfg.trace else None
 
     # weighted-average accumulator (two running sums; O(d) for any T); each
     # step adds w_t = (a + t)^2 >= 1 before any row or result reads it
@@ -201,7 +199,6 @@ def run(cfg: RunConfig) -> RunResult:
             total_bits=bits_cum,
             config=cfg,
             diagnostics=diag,
-            trace=trace,
         )
 
     def diverged(row: MetricsRow, why: str) -> DivergenceError:
@@ -236,7 +233,7 @@ def run(cfg: RunConfig) -> RunResult:
         if (t + 1) % cfg.H == 0:
             c_t = threshold_at(cfg.threshold, t, eta)
             fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
-            if cfg.diagnostics and not np.isinf(c_t):
+            if cfg.diagnostics:
                 drift = X - state.Hat
                 silent = np.ones(n, dtype=bool)
                 silent[fired] = False
@@ -268,9 +265,6 @@ def run(cfg: RunConfig) -> RunResult:
             )
             diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
             vres_since_eval = max(vres_since_eval, defect)
-
-        if trace is not None:
-            trace.append(X.copy())
 
         if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
             row = metrics_row(t, exact)

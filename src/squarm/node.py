@@ -32,7 +32,6 @@ threshold still suppresses exact-zero differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,8 @@ def local_step(state: NodeState, i: int, g: np.ndarray, eta: float, beta: float)
 
 
 def should_trigger(state: NodeState, i: int, c_t: float, eta: float) -> bool:
-    """True iff node i's copy drift ||x_i - hat_x_i||^2 strictly exceeds c_t eta^2."""
-    if math.isinf(c_t):
-        return False
+    """True iff node i's copy drift ||x_i - hat_x_i||^2 strictly exceeds c_t eta^2;
+    no finite drift exceeds the never threshold's c_t = inf."""
     diff = state.X[i] - state.Hat[i]
     return float(diff @ diff) > c_t * eta * eta
 

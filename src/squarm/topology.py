@@ -51,10 +51,6 @@ class MixingMatrix:
     lambda_dev: float
     adjacency: tuple[tuple[int, ...], ...]  # adjacency[i]: the j != i with w[i][j] > 0, ascending
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Indices j != i with w[i][j] > 0."""
-        return self.adjacency[i]
-
 
 def spectral_quantities(w: np.ndarray) -> tuple[float, float]:
     """Return (delta, lambda_dev) for a symmetric doubly stochastic matrix.

@@ -131,7 +131,7 @@ def make_nodes(cfg: RunConfig, variant: str) -> tuple[list[NodeState], list[np.r
     W = cfg.topology
     _, x0_rng, node_rngs = seed_streams(cfg.seed, W.n)
     x0 = initial_positions(x0_rng, W.n, cfg.objective.d, cfg.x0_scale)
-    return [make_node(i, x0[i], W.neighbors(i), variant) for i in range(W.n)], node_rngs
+    return [make_node(i, x0[i], W.adjacency[i], variant) for i in range(W.n)], node_rngs
 
 
 def deliver(nodes: list[NodeState], W, payloads: dict[int, np.ndarray]) -> None:
@@ -140,7 +140,7 @@ def deliver(nodes: list[NodeState], W, payloads: dict[int, np.ndarray]) -> None:
         if sender in payloads:
             q = payloads[sender]
             apply_incoming(nodes[sender], sender, q, W.w[sender])
-            for j in W.neighbors(sender):
+            for j in W.adjacency[sender]:
                 apply_incoming(nodes[j], sender, q, W.w[j])
 
 
@@ -163,11 +163,12 @@ def grad_sum(obj: obj_ops.ObjectiveSet, x: np.ndarray) -> np.ndarray:
 # run loop
 
 
-def run(cfg: RunConfig) -> RunResult:
+def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
+    """(result, [X after step t for t = 0..T-1]) of cfg's run."""
     W = cfg.topology
     obj = cfg.objective
     n, d = W.n, obj.d
-    out_degree = [len(W.neighbors(i)) for i in range(n)]
+    out_degree = [len(W.adjacency[i]) for i in range(n)]
     nodes, node_rngs = make_nodes(cfg, cfg.variant)
 
     eval_every = cfg.eval_every if cfg.eval_every else max(1, cfg.T // 200)
@@ -179,7 +180,7 @@ def run(cfg: RunConfig) -> RunResult:
     triggers = 0
     rows: list[MetricsRow] = []
     diag = Diagnostics()
-    trace = [] if cfg.trace else None
+    trace = []
 
     wavg_acc = np.zeros(d) if decaying else None
     wavg_sum = 0.0
@@ -261,8 +262,7 @@ def run(cfg: RunConfig) -> RunResult:
             diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
             vres_since_eval = max(vres_since_eval, defect)
 
-        if trace is not None:
-            trace.append(np.stack([st.x for st in nodes]))
+        trace.append(np.stack([st.x for st in nodes]))
 
         if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
             xb = x_bar_now()
@@ -288,11 +288,11 @@ def run(cfg: RunConfig) -> RunResult:
                 raise DivergenceError(f"loss diverged at t={t}")
             rows.append(row)
 
-    return RunResult(
+    result = RunResult(
         rows=rows,
         x_avg=(wavg_acc / wavg_sum) if decaying and wavg_sum else None,
         total_bits=bits_cum,
         config=cfg,
         diagnostics=diag,
-        trace=trace,
     )
+    return result, trace

@@ -21,6 +21,7 @@ from squarm.engine import metrics_csv, run
 from squarm.objective import loss, optimum
 from squarm.presets import preset
 from squarm.schedule import min_a_strongly_convex
+from traced import traced_run
 
 RING_DELTA = 1 - (1 / 3 + (2 / 3) * math.cos(math.pi / 4))
 
@@ -160,14 +161,13 @@ def test_criterion_06_dpsgd_degeneracy():
             "lr.kind": "constant",
             "lr.eta": eta,
             "x0_scale": 1.0,
-            "trace": True,
         },
     )
     cfg, _ = build_run_config(flat)
-    result = run(cfg)
+    result, trace = traced_run(cfg)
     _record("dpsgd-200", result)
     oracle = gossip_sgd_trajectory(cfg.objective, cfg.topology.w, eta, T, seed, x0_scale=1.0)
-    worst = max(np.abs(result.trace[t] - oracle[t + 1]).max() for t in range(T))
+    worst = max(np.abs(trace[t] - oracle[t + 1]).max() for t in range(T))
     ok = worst < 1e-12
     assert _report(6, "gossip-SGD degeneracy", ok, f"max traj diff {worst:.2e}")
 
@@ -192,16 +192,15 @@ def test_criterion_07_memory_efficient_equivalence():
         "seed": 107,
         "lr.kind": "auto_constant",
         "x0_scale": 1.0,
-        "trace": True,
     }
-    results = {}
+    traces = {}
     for variant in ("full_copy", "mem_efficient"):
         cfg, _ = build_run_config(merged(base, {"variant": variant}))
-        results[variant] = run(cfg)
-        _record(f"variant-{variant}", results[variant])
+        result, traces[variant] = traced_run(cfg)
+        _record(f"variant-{variant}", result)
     worst = max(
         np.abs(a - b).max()
-        for a, b in zip(results["full_copy"].trace, results["mem_efficient"].trace)
+        for a, b in zip(traces["full_copy"], traces["mem_efficient"])
     )
     ok = worst < 1e-10
     assert _report(7, "memory-efficient equivalence", ok, f"max traj diff {worst:.2e}")

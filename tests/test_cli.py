@@ -90,6 +90,16 @@ class TestRun:
         bad.write_text("{nope")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: config {bad} must be a JSON object\n"
+
+    def test_argument_that_is_not_a_key_value_flag_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path), "bogus"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized argument 'bogus' (expected --key=value)\n"
+
     def test_seed_repeat_byte_identical(self, tmp_path, base_config):
         outs = []
         for name in ("a", "b"):
@@ -528,7 +538,7 @@ class TestSweep:
 
         monkeypatch.setattr("squarm.cli.build_run_config", checked_build)
         monkeypatch.setattr("squarm.cli.run", kept_run)
-        args = ["sweep", "--axis", "k", "--values", "2,4,6", "--out", str(tmp_path), "--trace=true",
+        args = ["sweep", "--axis", "k", "--values", "2,4,6", "--out", str(tmp_path),
                 "--compressor.kind=top_k", "--T=30"]
         assert main(args) == 0
         assert dead == [[], [True], [True, True]]
@@ -548,6 +558,12 @@ def test_out_under_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr("squarm.cli.run", lambda cfg: pytest.fail("a run started"))
     assert main([*command, "--out", str(blocker / "sub")]) == 2
     assert f"error: --out: [Errno 20] Not a directory: '{blocker / 'sub'}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "spectral"], ["presets"]], ids=["verify", "presets"])
+def test_extra_arguments_exit_2(capsys, command):
+    assert main([*command, "extra"]) == 2
+    assert capsys.readouterr() == ("", "error: unexpected arguments: ['extra']\n")
 
 
 def test_run_and_sweep_outputs_agree(tmp_path, base_config):
@@ -610,8 +626,7 @@ def test_auto_gamma_refused_for_sign_kinds(tmp_path, base_config, capsys):
 
 
 def test_unknown_override_key_exits_2(tmp_path, base_config, capsys):
-    assert (
-        main(["run", "--config", str(base_config), "--out", str(tmp_path), "--bogus=1"])
-        == 2
-    )
-    assert "bogus" in capsys.readouterr().err
+    # trace: a run's per-step trajectory is not an output, and no key asks for it
+    for key, flag in (("bogus", "--bogus=1"), ("trace", "--trace=true")):
+        assert main(["run", "--config", str(base_config), "--out", str(tmp_path), flag]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"

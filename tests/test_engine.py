@@ -22,6 +22,7 @@ from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
 from squarm.verify import _identity_configs, identities
+from traced import traced_run
 
 
 def quick_config(**overrides):
@@ -62,7 +63,6 @@ INVALID = {
     "x0_scale": [math.inf, math.nan, "abc"],
     "eval_every": [0, -3],
     "grad_clip": [0.0, -1.0, math.inf],
-    "trace": ["yes", 2],
     "gamma": [0.0, 1.5, math.inf],
 }
 
@@ -102,7 +102,6 @@ def dpsgd_configs(draw):
         "lr.kind": "constant",
         "lr.eta": draw(st.floats(0.001, 0.05)),
         "x0_scale": draw(st.floats(0.0, 2.0, exclude_min=True)),
-        "trace": True,
         "topology.kind": draw(st.sampled_from(KEYS["topology.kind"].valid)),
     }
     if flat["topology.kind"] == "ring":
@@ -147,14 +146,13 @@ class TestGossipOracle:
                 "lr.kind": "constant",
                 "lr.eta": 0.05,
                 "x0_scale": 1.0,
-                "trace": True,
             }
         )
         cfg, _ = build_run_config(flat)
-        result = run(cfg)
+        _, trace = traced_run(cfg)
         oracle = gossip_sgd_trajectory(cfg.objective, W.w, 0.05, T, seed, x0_scale=1.0)
         worst = max(
-            np.abs(result.trace[t] - oracle[t + 1]).max() for t in range(T)
+            np.abs(trace[t] - oracle[t + 1]).max() for t in range(T)
         )
         assert worst < 1e-12
 
@@ -162,11 +160,11 @@ class TestGossipOracle:
     @given(dpsgd_configs())
     def test_dpsgd_preset_matches_matrix_form_on_drawn_configs(self, flat):
         cfg, _ = build_run_config(merged(flat))
-        result = run(cfg)
+        _, trace = traced_run(cfg)
         oracle = gossip_sgd_trajectory(cfg.objective, cfg.topology.w, cfg.lr.eta, cfg.T, cfg.seed, cfg.x0_scale)
         for t in range(cfg.T):
             bound = 1e-12 * max(1.0, np.abs(oracle[t + 1]).max())
-            assert np.abs(result.trace[t] - oracle[t + 1]).max() <= bound, t
+            assert np.abs(trace[t] - oracle[t + 1]).max() <= bound, t
 
 
 class TestRunBasics:
@@ -317,13 +315,12 @@ class TestVariantEquivalence:
             "H": 5,
             "beta": 0.9,
             "T": 500,
-            "trace": True,
         }
         base.update(extra)
-        full = run(quick_config(**base, variant="full_copy"))
-        mem = run(quick_config(**base, variant="mem_efficient"))
+        _, full = traced_run(quick_config(**base, variant="full_copy"))
+        _, mem = traced_run(quick_config(**base, variant="mem_efficient"))
         worst = max(
-            np.abs(a - b).max() for a, b in zip(full.trace, mem.trace)
+            np.abs(a - b).max() for a, b in zip(full, mem)
         )
         assert worst < 1e-10
 
@@ -363,14 +360,14 @@ class TestBroadcastConsistency:
                 # every receiver's copy of j equals j's own hat, bitwise
                 for j in range(W.n):
                     assert np.array_equal(nodes[j].hat_self, hat_shadow[j])
-                    for i in W.neighbors(j):
+                    for i in W.adjacency[j]:
                         assert np.array_equal(nodes[i].copies[j], hat_shadow[j])
 
 
 def assert_matches_reference(cfg: RunConfig):
-    """Run cfg (with trace on) on the engine and on the frozen per-node
-    reference, assert that they agree, and return the engine's result."""
-    new, old = run(cfg), ref.run(cfg)
+    """Run cfg on the engine and on the frozen per-node reference, assert
+    that they agree step by step, and return the engine's result."""
+    (new, new_trace), (old, old_trace) = traced_run(cfg), ref.run(cfg)
     assert new.total_bits == old.total_bits
     assert [(r.t, r.bits_cum, r.messages, r.triggers) for r in new.rows] == [
         (r.t, r.bits_cum, r.messages, r.triggers) for r in old.rows
@@ -379,7 +376,7 @@ def assert_matches_reference(cfg: RunConfig):
     # dense W @ Hat sums in another order, and a quadratic's gradients are
     # rows of one X A product instead of one matrix-vector product each
     bitwise = cfg.variant == "mem_efficient" and cfg.objective.kind != "quadratic"
-    for a, b in zip(new.trace, old.trace, strict=True):
+    for a, b in zip(new_trace, old_trace, strict=True):
         if bitwise:
             assert np.array_equal(a, b)
         else:
@@ -432,7 +429,6 @@ def drawn_configs(draw, objective_kinds=KEYS["objective.kind"].valid, compressor
         "grad_clip": draw(st.none() | st.floats(0.5, 5.0)) if clip else None,
         "x0_scale": draw(st.floats(0.0, 2.0, exclude_min=True)),
         "diagnostics": True,
-        "trace": True,
     }
     eta = draw(st.floats(0.001, 0.05))
     if draw(st.booleans()):
@@ -452,7 +448,7 @@ class TestFrozenReference:
     @pytest.mark.parametrize("variant", ["full_copy", "mem_efficient"])
     @pytest.mark.parametrize("idx", range(len(_identity_configs())))
     def test_matches_per_node_reference(self, idx, variant):
-        cfg, _ = build_run_config(merged(_identity_configs()[idx], {"variant": variant, "trace": True}))
+        cfg, _ = build_run_config(merged(_identity_configs()[idx], {"variant": variant}))
         assert_matches_reference(cfg)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -477,9 +473,9 @@ class TestNodeAverageOracle:
     @given(drawn_configs(objective_kinds=("quadratic",), compressors=DETERMINISTIC_KINDS, clip=False))
     def test_matches_on_drawn_configs(self, flat):
         cfg, _ = build_run_config(merged(flat))
-        result = run(cfg)
+        _, trace = traced_run(cfg)
         oracle = node_average_trajectory(cfg.objective, cfg.lr, cfg.beta, cfg.T, cfg.seed, cfg.x0_scale)
-        for t, X in enumerate(result.trace):
+        for t, X in enumerate(trace):
             x_bar = oracle[t + 1]
             err = np.abs(X.mean(axis=0) - x_bar).max()
             assert err <= 1e-12 * max(1.0, np.abs(x_bar).max()), (t, err)
@@ -521,12 +517,12 @@ class TestSharedCurvatureProduct:
     @pytest.mark.parametrize("kind", ["least_squares", "least_squares_nonconvex", "logistic_l2"])
     def test_sample_based_kinds_stay_bitwise_on_the_per_node_path(self, kind):
         cfg = quick_config(
-            T=40, variant="mem_efficient", trace=True,
+            T=40, variant="mem_efficient",
             **{"objective.kind": kind, "compressor.kind": "top_k", "compressor.k": 4, "H": 4, "beta": 0.9},
         )
-        new, old = run(cfg), ref.run(cfg)
+        (new, new_trace), (old, old_trace) = traced_run(cfg), ref.run(cfg)
         assert [(r.t, r.bits_cum, r.triggers) for r in new.rows] == [(r.t, r.bits_cum, r.triggers) for r in old.rows]
-        for a, b in zip(new.trace, old.trace, strict=True):
+        for a, b in zip(new_trace, old_trace, strict=True):
             assert np.array_equal(a, b)
 
 

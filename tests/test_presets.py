@@ -3,10 +3,10 @@ import pytest
 
 from oracles import gossip_sgd_trajectory
 from squarm.config import build_run_config, merged, seed_streams
-from squarm.engine import run
 from squarm.errors import ConfigError
 from squarm.presets import PRESETS, preset
 from squarm.topology import build_ring
+from traced import traced_run
 
 PROBLEM = {
     "topology.n": 8,
@@ -20,14 +20,14 @@ PROBLEM = {
     "lr.eta": 0.05,
     "x0_scale": 1.0,
     "diagnostics": True,
-    "trace": True,
 }
 
 
 def run_preset(name, **overrides):
+    """(cfg, result, [X after each step]) of the preset's run on PROBLEM."""
     flat = merged(preset(name), PROBLEM, overrides)
     cfg, _ = build_run_config(flat)
-    return cfg, run(cfg)
+    return cfg, *traced_run(cfg)
 
 
 def test_unknown_preset():
@@ -48,16 +48,16 @@ def test_sparq_is_squarm_without_momentum():
 
 
 def test_local_sgd_no_bits():
-    _, result = run_preset("local_sgd")
+    _, result, _ = run_preset("local_sgd")
     assert result.total_bits == 0
     assert result.rows[-1].messages == 0
 
 
 def test_dpsgd_matches_gossip_oracle():
-    cfg, result = run_preset("dpsgd")
+    cfg, _, trace = run_preset("dpsgd")
     W = build_ring(8, 1 / 3)
     oracle = gossip_sgd_trajectory(cfg.objective, W.w, 0.05, 200, 21, x0_scale=1.0)
-    worst = max(np.abs(result.trace[t] - oracle[t + 1]).max() for t in range(200))
+    worst = max(np.abs(trace[t] - oracle[t + 1]).max() for t in range(200))
     assert worst < 1e-12
 
 
@@ -103,10 +103,10 @@ def test_squarm_beta_zero_h1_gamma1_identity_always_equals_dpsgd():
         "compressor.kind": "identity",
         "threshold.kind": "always",
     }
-    _, squarm_run = run_preset("squarm", **overrides)
-    _, dpsgd_run = run_preset("dpsgd")
+    _, _, squarm_trace = run_preset("squarm", **overrides)
+    _, _, dpsgd_trace = run_preset("dpsgd")
     worst = max(
-        np.abs(a - b).max() for a, b in zip(squarm_run.trace, dpsgd_run.trace)
+        np.abs(a - b).max() for a, b in zip(squarm_trace, dpsgd_trace)
     )
     assert worst == 0.0
 

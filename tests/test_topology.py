@@ -53,7 +53,7 @@ class TestBuildRing:
         assert np.array_equal(w.w, w.w.T)
         assert np.abs(w.w.sum(axis=0) - 1).max() < 1e-12
         assert np.abs(w.w.sum(axis=1) - 1).max() < 1e-12
-        assert w.neighbors(0) == (1, 7)
+        assert w.adjacency[0] == (1, 7)
 
     def test_rejects_small_n(self):
         with pytest.raises(TopologyError):
@@ -285,7 +285,7 @@ class TestValidByConstruction:
 def test_neighbors_are_the_off_diagonal_nonzeros(build):
     w = build()
     for i in range(w.n):
-        assert w.neighbors(i) == tuple(int(j) for j in np.flatnonzero(w.w[i]) if j != i)
+        assert w.adjacency[i] == tuple(int(j) for j in np.flatnonzero(w.w[i]) if j != i)
 
 
 class TestPowerDeviation:
