@@ -4,8 +4,10 @@ Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
-choices. merged rejects keys not in it and _coerce checks each value against
-it; a value that does not fit is a ConfigError that starts with its key.
+choices. merged layers configs over its defaults and rejects keys not in it,
+and build_run_config starts from merged, so every caller gets both; _coerce
+checks each value against it. A value that does not fit is a ConfigError
+that starts with its key.
 RunConfig checks its plain fields against the same table and takes the
 defaults of those that have one from it, so a RunConfig built directly is
 refused with the same errors as a config file and defaults like one.
@@ -295,7 +297,9 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
     n = flat["topology.n"]
     d = flat["objective.d"]
     path = flat["objective.dataset_path"]
-    if kind == "quadratic" or not path:
+    if path and kind == "quadratic":
+        raise ConfigError(f"objective.dataset_path: only a sample-based objective.kind reads one, got {kind!r}")
+    if not path:
         _fits(flat, "objective.d", d * d)  # the curvature matrix, or the smoothness estimate's
     if kind == "quadratic":
         mu, L = flat["objective.mu"], flat["objective.L"]
@@ -436,9 +440,10 @@ def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
 
 
 def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
-    """Resolve a merged flat config into a RunConfig plus non-fatal warnings."""
-    raw = flat
-    flat = {key: _coerce(key, flat.get(key)) for key in KEYS}
+    """Resolve a flat config, layered over KEYS' defaults by merged (so a key
+    not in KEYS is a ConfigError), into a RunConfig plus non-fatal warnings."""
+    raw = merged(flat)
+    flat = {key: _coerce(key, raw.get(key)) for key in KEYS}
     warnings: list[str] = []
     topo = _build_topology(flat)
     obj = _build_objective(flat)
@@ -455,6 +460,6 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
         threshold=threshold,
         gamma=gamma,
         **{key: value for key, value in flat.items() if "." not in key},  # the undotted keys
-        raw={k: raw[k] for k in sorted(raw)},
+        raw=raw,
     )
     return cfg, warnings

@@ -37,6 +37,13 @@ messages and the gossip correction are one call each per synchronization
 round, and the averages, norms and distances behind the metrics and
 diagnostics are array reductions.
 
+The run holds x_bar, the node average of X as it stands. X changes in
+place only in the local phase and in the consensus step, so x_bar is taken
+once before the first step and once after each of those two; the
+weighted-average accumulator, the mean-preservation check (whose pre-gossip
+average is the post-local x_bar), the virtual sequence and every metrics
+row read it instead of averaging X again.
+
 Everything is deterministic given the seed: each node owns a private random
 stream, the nodes take their local steps one after another in node order,
 and messages are always applied in fixed node order.
@@ -166,19 +173,18 @@ def run(cfg: RunConfig) -> RunResult:
     wavg_acc = np.zeros(d) if decaying else None
     wavg_sum = 0.0
 
-    x_tilde = X.mean(axis=0)  # v^{-1} = 0, so xt^0 = xbar^0
+    x_bar = X.mean(axis=0)  # the node average of X as it stands
+    x_tilde = x_bar  # v^{-1} = 0, so xt^0 = xbar^0
     vres_since_eval = 0.0
 
     def metrics_row(t: int, grads: np.ndarray | None) -> MetricsRow:
         # grads: the shared-curvature product at the current X, when there is one
-        nonlocal vres_since_eval
-        xb = X.mean(axis=0)
         if grads is None:
-            loss, grad = obj_ops.loss(obj, xb), obj_ops.full_grad_global(obj, xb)
+            loss, grad = obj_ops.loss(obj, x_bar), obj_ops.full_grad_global(obj, x_bar)
         else:
-            loss, grad = obj_ops.loss_and_grad_at_mean(obj, xb, grads)
-        dev = X - xb
-        row = MetricsRow(
+            loss, grad = obj_ops.loss_and_grad_at_mean(obj, x_bar, grads)
+        dev = X - x_bar
+        return MetricsRow(
             t=t,
             loss=loss,
             grad_norm_sq=float(grad @ grad),
@@ -189,8 +195,6 @@ def run(cfg: RunConfig) -> RunResult:
             virtual_residual=vres_since_eval if cfg.diagnostics and not decaying else None,
             weighted_avg_loss=obj_ops.loss(obj, wavg_acc / wavg_sum) if decaying else None,
         )
-        vres_since_eval = 0.0
-        return row
 
     def result(kept: list[MetricsRow]) -> RunResult:
         return RunResult(
@@ -212,7 +216,7 @@ def run(cfg: RunConfig) -> RunResult:
 
         if decaying:
             w_t = weighted_avg_weight(cfg.lr.a, t)
-            wavg_acc += w_t * X.mean(axis=0)
+            wavg_acc += w_t * x_bar
             wavg_sum += w_t
 
         for i in range(n):
@@ -221,6 +225,7 @@ def run(cfg: RunConfig) -> RunResult:
                 g = obj_ops.clip_to_norm(g, cfg.grad_clip)
             node_ops.local_step(state, i, g, eta, cfg.beta)
             G[i] = g
+        x_bar = X.mean(axis=0)
         # a non-finite gradient entry makes its row of X non-finite too
         if not np.isfinite(X).all():
             raise diverged(metrics_row(t, None), "parameters diverged")
@@ -247,27 +252,24 @@ def run(cfg: RunConfig) -> RunResult:
                 messages += fanout[i]
             triggers += len(fired)
             node_ops.apply_incoming(state, fired, Q, W.w)
-            x_bar_half = X.mean(axis=0) if cfg.diagnostics else None
+            x_bar_half = x_bar
             node_ops.consensus_step(state, cfg.gamma, W.w)
+            x_bar = X.mean(axis=0)
             if cfg.diagnostics:
                 diag.sync_rounds += 1
-                diag.max_mean_dev = max(
-                    diag.max_mean_dev,
-                    mean_preservation_check(x_bar_half, X.mean(axis=0)),
-                )
+                diag.max_mean_dev = max(diag.max_mean_dev, mean_preservation_check(x_bar_half, x_bar))
 
         # serves the next step's gradients and this step's metrics row
         exact = obj_ops.shared_curvature_grads(obj, X)
 
         if cfg.diagnostics and not decaying:
-            defect, x_tilde = virtual_residual(
-                x_tilde, X.mean(axis=0), V.mean(axis=0), G.mean(axis=0), eta, cfg.beta
-            )
+            defect, x_tilde = virtual_residual(x_tilde, x_bar, V.mean(axis=0), G.mean(axis=0), eta, cfg.beta)
             diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
             vres_since_eval = max(vres_since_eval, defect)
 
         if t == 0 or t == cfg.T - 1 or (t + 1) % eval_every == 0:
             row = metrics_row(t, exact)
+            vres_since_eval = 0.0
             if not np.isfinite(row.loss):
                 raise diverged(row, "loss diverged")
             if row.weighted_avg_loss is not None and not np.isfinite(row.weighted_avg_loss):

@@ -49,6 +49,15 @@ def base_config(tmp_path):
     return path
 
 
+def strict_json(path):
+    """The JSON object in path, refusing the NaN and Infinity tokens strict JSON lacks."""
+
+    def reject(token):
+        raise AssertionError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def just_outside(spec):
     """A value just past each finite end of the key's valid interval, or a
     string that is none of its choices."""
@@ -243,11 +252,7 @@ class TestRun:
         assert "diverged" in proc.stderr
         rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
         assert rows[0]["t"] == "0" and 0 < int(rows[-1]["t"]) < 4999
-
-        def reject(token):
-            raise AssertionError(f"summary.json holds the non-JSON token {token}")
-
-        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        summary = strict_json(out / "summary.json")
         assert summary["final"]["t"] == int(rows[-1]["t"])
         assert summary["final"]["loss"] is None
 
@@ -264,12 +269,25 @@ class TestRun:
         assert "run diverged: weighted average diverged at t=0" in proc.stderr
         rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
         assert [row["t"] for row in rows] == ["0"]
-
-        def reject(token):
-            raise AssertionError(f"summary.json holds the non-JSON token {token}")
-
-        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        summary = strict_json(out / "summary.json")
         assert summary["final"]["t"] == 0
+
+    def test_loss_that_overflows_exits_1_with_partial_outputs(self, tmp_path):
+        # X stays finite, but its loss under the 1e300 curvature does not
+        out = tmp_path / "loss"
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--objective.mu=1e-300", "--objective.L=1e300",
+             "--T=5", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "run diverged: loss diverged at t=0" in proc.stderr
+        rows = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))
+        assert [row["t"] for row in rows] == ["0"]
+        summary = strict_json(out / "summary.json")
+        assert summary["final"]["t"] == 0
+        assert summary["final"]["loss"] is None
 
     def test_bad_values_name_their_key(self, tmp_path, capsys):
         bad = {int: ["abc", 2.5, True], float: ["abc", "nan", [1.0]], bool: ["yes", 2], str: [5], list: [5]}
@@ -314,6 +332,8 @@ class TestRun:
             ("objective.samples_per_node", ["--objective.kind=logistic_l2", "--objective.samples_per_node=100000000000"]),
             ("parallel", ["--parallel=true", "--T=5"]),
             ("objective.noise_sigma", ["--objective.noise_sigma=-0.5", "--T=5"]),
+            # the quadratic kind reads no dataset: a path set with it is refused, not ignored
+            ("objective.dataset_path", ["--objective.dataset_path=/nonexistent/data.csv", "--T=5"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):

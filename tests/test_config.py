@@ -1,6 +1,9 @@
-"""The objective set-up memo of squarm.config: a config reuses the objective
-the previous one built while the seed, the node count and every objective
-key are unchanged, and every config-built objective is read-only."""
+"""squarm.config's library entry point and its objective set-up memo.
+
+build_run_config lays any flat config over KEYS' defaults and refuses a key
+not in KEYS, as merged does. A config reuses the objective the previous one
+built while the seed, the node count and every objective key are unchanged,
+and every config-built objective is read-only."""
 
 import re
 
@@ -9,6 +12,7 @@ import pytest
 
 from squarm import config
 from squarm.config import KEYS, build_run_config, merged
+from squarm.engine import metrics_csv, run, summary_json
 from squarm.errors import ConfigError
 
 BASE = {"topology.n": 4, "objective.d": 6, "objective.samples_per_node": 5, "T": 10, "seed": 3}
@@ -35,6 +39,20 @@ def as_bytes(obj):
 def write_dataset(path, seed):
     data = np.random.default_rng(seed).standard_normal((12, 4))
     path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data) + "\n")
+
+
+class TestBuildRunConfig:
+    def test_an_unknown_key_is_refused(self):
+        with pytest.raises(ConfigError, match=re.escape("unknown config key 'bogus.key'")):
+            build_run_config(merged() | {"bogus.key": 3})
+
+    def test_a_partial_config_takes_the_defaults(self):
+        partial = {"topology.n": 4, "T": 30, "seed": 2}
+        outputs = []
+        for flat in (partial, merged(partial)):
+            result = run(build_run_config(flat)[0])
+            outputs.append((metrics_csv(result), summary_json(result)))
+        assert outputs[0] == outputs[1]
 
 
 class TestObjectiveMemo:
@@ -68,11 +86,12 @@ class TestObjectiveMemo:
         "objective.alpha": 0.2,
         "objective.l2_reg": 0.02,
         "objective.partition_mode": "sorted_by_label",
-        "objective.dataset_path": "unread.csv",  # the quadratic reads no dataset
     }
 
     def test_every_objective_key_is_changed_below(self):
-        assert {key for key in KEYS if key.startswith("objective.")} <= set(self.CHANGED)
+        # a dataset objective is never held: test_a_dataset_objective_reads_its_file_again
+        keys = {key for key in KEYS if key.startswith("objective.")} - {"objective.dataset_path"}
+        assert keys <= set(self.CHANGED)
 
     @pytest.mark.parametrize("key, value", list(CHANGED.items()) + [("objective.noise_sigma", -0.0)])
     def test_a_changed_key_value_rebuilds(self, key, value):
