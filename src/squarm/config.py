@@ -403,7 +403,7 @@ def _resolve_lr(
         eta = sched.constant_lr(n, T, beta)
         min_T = sched.min_T_nonconvex(obj.L, n, beta)
         if T < min_T:
-            warnings.append(f"T={T} below the non-convex admissibility minimum {min_T:.0f}")
+            warnings.append(f"T={T} below the non-convex admissibility minimum{_shown(min_T, '.0f')}")
         return sched.LrSchedule(kind="constant", eta=eta)
     p = sched.p_of(gamma, topo.delta)
     if kind == "decaying":
@@ -412,13 +412,30 @@ def _resolve_lr(
             warnings.append("lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail")
         return lr
     # an objective that is not strongly convex leaves mu to the config
-    mu = obj.mu if flat["lr.mu"] is None and obj.mu > 0 else _require(flat, "lr.mu")
+    mu_key = "lr.mu" if flat["lr.mu"] is not None or obj.mu <= 0 else _MU_KEYS[obj.kind]
+    mu = _require(flat, "lr.mu") if mu_key == "lr.mu" else obj.mu
+    if not math.isfinite(16.0 * (1.0 - beta) / mu):  # decaying_schedule's b
+        raise ConfigError(
+            f"{mu_key}: {mu!r} is too small, the step-size numerator 16 (1 - beta) / mu overflows a float"
+        )
     a_min = sched.min_a_strongly_convex(H, p, obj.L, mu, beta)
     a = flat["lr.a"]
+    if a is None and not math.isfinite(a_min):
+        raise ConfigError("lr.a: the admissibility minimum it defaults to overflows a float; set lr.a")
     a = a if a is not None else a_min
     if a < a_min:
-        warnings.append(f"lr.a={a:.1f} below the admissibility minimum {a_min:.1f}")
+        warnings.append(f"lr.a={a:.1f} below the admissibility minimum{_shown(a_min, '.1f')}")
     return sched.decaying_schedule(mu, beta, a)
+
+
+# the key that sets obj.mu, for the kinds whose built objective has mu > 0
+_MU_KEYS = {"quadratic": "objective.mu", "logistic_l2": "objective.l2_reg"}
+
+
+def _shown(minimum: float, spec: str) -> str:
+    """An admissibility minimum for a warning: ' ' and its digits, or a note
+    that it overflows a float."""
+    return f" {minimum:{spec}}" if math.isfinite(minimum) else ", which overflows a float"
 
 
 def _build_threshold(flat: dict) -> sched.ThresholdSchedule:

@@ -48,6 +48,10 @@ class LrSchedule:
     a: float | None = None
 
     def __post_init__(self):
+        for name in ("eta", "b", "a"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"lr {name} must be finite, got {value!r}")
         if self.kind == "constant":
             if self.eta is None or self.eta <= 0:
                 raise ParameterError("constant lr needs eta > 0")

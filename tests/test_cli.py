@@ -334,6 +334,11 @@ class TestRun:
             ("objective.noise_sigma", ["--objective.noise_sigma=-0.5", "--T=5"]),
             # the quadratic kind reads no dataset: a path set with it is refused, not ignored
             ("objective.dataset_path", ["--objective.dataset_path=/nonexistent/data.csv", "--T=5"]),
+            # auto_decaying's b = 16 (1 - beta) / mu, or the a_min an unset lr.a takes, past the float range
+            ("objective.mu", ["--lr.kind=auto_decaying", "--objective.mu=1e-310", "--T=5"]),
+            ("objective.l2_reg", ["--lr.kind=auto_decaying", "--objective.kind=logistic_l2", "--objective.l2_reg=1e-310"]),
+            ("lr.mu", ["--lr.kind=auto_decaying", "--objective.kind=least_squares", "--lr.mu=1e-310"]),
+            ("lr.a", ["--lr.kind=auto_decaying", "--beta=0.9", "--objective.L=1e200", "--T=5"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):
@@ -344,7 +349,7 @@ class TestRun:
             capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith(f"error: {key}") and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: {key}:") and proc.stderr.count("\n") == 1, proc.stderr
         assert "compressor.kind" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -441,6 +446,25 @@ class TestRun:
     def test_lr_a_below_its_minimum_warns_once(self, tmp_path, capsys, flags, warning):
         assert main(["run", "--out", str(tmp_path), "--T=5", *flags]) == 0
         assert capsys.readouterr().err == f"warning: {warning}\n"
+
+    @pytest.mark.parametrize(
+        "flags, warning",
+        [
+            ([], "T=5 below the non-convex admissibility minimum, which overflows a float"),
+            (["--lr.kind=auto_decaying", "--lr.a=2"], "lr.a=2.0 below the admissibility minimum, which overflows a float"),
+        ],
+        ids=["auto_constant", "auto_decaying"],
+    )
+    def test_admissibility_minimum_that_overflows_is_not_printed_as_inf(self, tmp_path, flags, warning):
+        # the minimum overflows under the 1e300 curvature, and both runs then diverge at t=0
+        proc = subprocess.run(
+            [sys.executable, "-m", "squarm", "run", "--objective.mu=1e-300", "--objective.L=1e300",
+             "--T=5", *flags, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines()[0] == f"warning: {warning}"
+        assert "inf" not in proc.stderr.split() and "Traceback" not in proc.stderr, proc.stderr
 
 class TestVerify:
     def test_spectral_suite_passes(self, capsys):
@@ -601,6 +625,18 @@ def test_run_and_sweep_outputs_agree(tmp_path, base_config):
         assert float(value) == summary["final"][name], name
     assert last["t"] == "79"
     assert summary["diagnostics"].keys() == {f.name for f in dataclasses.fields(Diagnostics)}
+
+
+def test_importing_the_package_loads_no_submodule_and_not_numpy():
+    # the library is imported by module (`from squarm import config`); the package binds no names
+    probe = "import sys, squarm; print(squarm.__file__); print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('squarm.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(SRC)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.splitlines()
+    assert Path(path).resolve() == SRC / "squarm" / "__init__.py"
+    assert loaded == "[]"
 
 
 class TestPresets:

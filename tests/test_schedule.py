@@ -215,8 +215,13 @@ class TestScheduleTypes:
             (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), "p must be > 0"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), "mu must be > 0"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"beta must be in \[0, 1\)"),
+            (lambda: LrSchedule(kind="constant", eta=math.inf), "lr eta must be finite, got inf"),
+            (lambda: LrSchedule(kind="constant", eta=math.nan), "lr eta must be finite, got nan"),
+            (lambda: LrSchedule(kind="decaying", b=math.inf, a=2.0), "lr b must be finite, got inf"),
+            (lambda: LrSchedule(kind="decaying", b=1.0, a=math.inf), "lr a must be finite, got inf"),
         ],
-        ids=["b_unset", "b_zero", "lr_kind", "threshold_kind", "c0", "init", "step", "T", "p", "mu", "beta"],
+        ids=["b_unset", "b_zero", "lr_kind", "threshold_kind", "c0", "init", "step", "T", "p", "mu", "beta",
+             "eta_inf", "eta_nan", "b_inf", "a_inf"],
     )
     def test_argument_guards(self, build, match):
         with pytest.raises(ParameterError, match=match):
