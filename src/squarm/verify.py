@@ -240,8 +240,8 @@ def _identity_configs() -> list[dict]:
         {"compressor.kind": "identity", "threshold.kind": "never", "H": 5, "beta": 0.9},
         {"compressor.kind": "top_k", "compressor.k": 4, "threshold.kind": "always", "H": 5, "beta": 0.9, "variant": "mem_efficient"},
         {"compressor.kind": "top_k", "compressor.k": 4, "threshold.kind": "always", "H": 3, "beta": 0.0, "accounting": "unicast"},
-        {"objective.kind": "least_squares", "compressor.kind": "top_k", "compressor.k": 4, "threshold.kind": "always", "H": 5, "beta": 0.9},
-        {"objective.kind": "least_squares_nonconvex", "compressor.kind": "sign_top_k", "compressor.k": 3, "threshold.kind": "poly", "threshold.c0": 2.0, "threshold.epsilon": 0.5, "H": 5, "beta": 0.9, "grad_clip": 1.0},
+        {"objective.kind": "least_squares", "objective.noise_sigma": 0.0, "compressor.kind": "top_k", "compressor.k": 4, "threshold.kind": "always", "H": 5, "beta": 0.9},
+        {"objective.kind": "least_squares_nonconvex", "objective.noise_sigma": 0.0, "compressor.kind": "sign_top_k", "compressor.k": 3, "threshold.kind": "poly", "threshold.c0": 2.0, "threshold.epsilon": 0.5, "H": 5, "beta": 0.9, "grad_clip": 1.0},
     ]
     return [merged(base, extra) for extra in variations]
 

@@ -339,6 +339,9 @@ class TestRun:
             ("objective.l2_reg", ["--lr.kind=auto_decaying", "--objective.kind=logistic_l2", "--objective.l2_reg=1e-310"]),
             ("lr.mu", ["--lr.kind=auto_decaying", "--objective.kind=least_squares", "--lr.mu=1e-310"]),
             ("lr.a", ["--lr.kind=auto_decaying", "--beta=0.9", "--objective.L=1e200", "--T=5"]),
+            # a sample-based kind's gradient noise is its minibatch: a noise scale set with it is refused, not ignored
+            ("objective.noise_sigma", ["--objective.kind=least_squares", "--objective.noise_sigma=5", "--T=50",
+                                       "--lr.kind=constant", "--lr.eta=0.01"]),
         ],
     )
     def test_out_of_range_values_exit_2_naming_their_key(self, tmp_path, key, flags):

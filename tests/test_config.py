@@ -1,9 +1,10 @@
-"""squarm.config's library entry point and its objective set-up memo.
+"""squarm.config's library entry point and its set-up memos.
 
 build_run_config lays any flat config over KEYS' defaults and refuses a key
-not in KEYS, as merged does. A config reuses the objective the previous one
-built while the seed, the node count and every objective key are unchanged,
-and every config-built objective is read-only."""
+not in KEYS, as merged does. A config reuses the graph the previous one
+built while every topology key is unchanged, and the objective the previous
+one built while the seed, the node count and every objective key are
+unchanged; every config-built objective is read-only."""
 
 import re
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from squarm import config
+from squarm.cli import main
 from squarm.config import KEYS, build_run_config, merged
 from squarm.engine import metrics_csv, run, summary_json
 from squarm.errors import ConfigError
@@ -132,6 +134,97 @@ class TestObjectiveMemo:
         second = objective(**overrides)
         assert not np.array_equal(np.concatenate(first.feats), np.concatenate(second.feats))
         assert config._last_objective == {}
+
+
+# a four-node cycle with its weights given edge by edge
+CUSTOM = {
+    "topology.kind": "custom",
+    "topology.edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+    "topology.edge_weights": [0.25, 0.25, 0.25, 0.25],
+    "topology.self_weights": [0.5, 0.5, 0.5, 0.5],
+}
+GRAPHS = {"ring": {}, "complete": {"topology.kind": "complete"}, "custom": CUSTOM}
+
+
+def graph(**overrides):
+    cfg, _ = build_run_config(merged(BASE, overrides))
+    return cfg.topology
+
+
+def graph_bytes(topo):
+    return topo.n, topo.w.tobytes(), topo.delta, topo.lambda_dev, topo.adjacency
+
+
+class TestTopologyMemo:
+    @pytest.mark.parametrize("kind", GRAPHS)
+    def test_an_equal_key_returns_the_same_graph_bitwise_a_fresh_build(self, kind):
+        hit = graph(**GRAPHS[kind])
+        # keys outside the graph's do not go into the memo's key
+        others = {"T": 20, "seed": 4, "objective.d": 7, "compressor.kind": "top_k", "compressor.k": 2}
+        assert graph(**GRAPHS[kind] | others) is hit
+        config._last_topology.clear()
+        fresh = graph(**GRAPHS[kind])
+        assert fresh is not hit
+        assert graph_bytes(fresh) == graph_bytes(hit)
+
+    # one changed value for every key a graph is built from, each on a graph that reads it
+    CHANGED = {
+        "ring-kind": ({}, "topology.kind", "complete"),
+        "ring-n": ({}, "topology.n", 5),
+        "ring-self_weight": ({}, "topology.self_weight", 0.5),
+        "complete-n": ({"topology.kind": "complete"}, "topology.n", 5),
+        "custom-kind": (CUSTOM, "topology.kind", "ring"),
+        # the same graph with one edge listed the other way round
+        "custom-edges": (CUSTOM, "topology.edges", [[0, 1], [1, 2], [2, 3], [0, 3]]),
+        "custom-edge_weights": (CUSTOM, "topology.edge_weights", [0.2, 0.3, 0.2, 0.3]),
+        # within the row-sum tolerance
+        "custom-self_weights": (CUSTOM, "topology.self_weights", [0.5, 0.5, 0.5, 0.5 + 1e-12]),
+    }
+
+    def test_every_topology_key_is_changed_below(self):
+        assert {key for _, key, _ in self.CHANGED.values()} == {key for key in KEYS if key.startswith("topology.")}
+
+    @pytest.mark.parametrize("base, key, value", CHANGED.values(), ids=CHANGED)
+    def test_a_changed_key_value_rebuilds(self, base, key, value):
+        first = graph(**base)
+        changed = graph(**base | {key: value})
+        assert changed is not first
+        assert graph(**base) is not changed  # and changing it back rebuilds again
+
+    def test_a_seed_change_keeps_the_graph_and_rebuilds_the_objective(self):
+        first, _ = build_run_config(merged(BASE))
+        second, _ = build_run_config(merged(BASE, {"seed": 4}))
+        assert second.topology is first.topology
+        assert second.objective is not first.objective
+
+    def test_a_self_weight_change_keeps_the_objective_and_rebuilds_the_graph(self):
+        first, _ = build_run_config(merged(BASE))
+        second, _ = build_run_config(merged(BASE, {"topology.self_weight": 0.5}))
+        assert second.objective is first.objective
+        assert second.topology is not first.topology
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"topology.self_weight": 1.0}, "topology.self_weight: self_weight must be in (0, 1), got 1.0"),
+            ({**CUSTOM, "topology.self_weights": [0.5, 0.5, 0.5, 0.4]}, "topology.self_weights: rows/columns"),
+            ({"topology.n": 10**10}, "topology.n: 10000000000 is too large"),
+        ],
+        ids=["ring", "custom", "oversized_n"],
+    )
+    def test_a_refused_graph_leaves_nothing_held(self, overrides, message):
+        graph()
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                graph(**overrides)
+            assert config._last_topology == {}
+
+    def test_a_T_sweep_builds_its_ring_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = config.build_ring
+        monkeypatch.setattr(config, "build_ring", lambda *args: calls.append(args) or build(*args))
+        assert main(["sweep", "--axis", "T", "--values", "10,20,30", "--out", str(tmp_path)]) == 0
+        assert calls == [(KEYS["topology.n"].default, KEYS["topology.self_weight"].default)]
 
 
 class TestReadOnly:

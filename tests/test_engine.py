@@ -286,7 +286,7 @@ class TestIdentities:
         cfg = quick_config(T=10, **{"compressor.kind": "identity", "threshold.kind": "always"})
         w = cfg.topology.w.copy()
         w[0, 1] *= 0.5
-        object.__setattr__(cfg.topology, "w", w)
+        cfg = dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, w=w))
         assert not identities(run(cfg))["mean preservation"].ok
 
     def test_momentum_norm_bound_with_clipping(self):
@@ -441,6 +441,8 @@ def drawn_configs(draw, objective_kinds=KEYS["objective.kind"].valid, compressor
         flat["topology.self_weight"] = draw(st.floats(0.1, 0.9))
     elif flat["topology.kind"] == "custom":
         flat |= draw(custom_graph(n))
+    if flat["objective.kind"] != "quadratic":  # only the quadratic reads a noise scale; set after the draws
+        flat["objective.noise_sigma"] = 0.0
     return flat
 
 
@@ -518,7 +520,8 @@ class TestSharedCurvatureProduct:
     def test_sample_based_kinds_stay_bitwise_on_the_per_node_path(self, kind):
         cfg = quick_config(
             T=40, variant="mem_efficient",
-            **{"objective.kind": kind, "compressor.kind": "top_k", "compressor.k": 4, "H": 4, "beta": 0.9},
+            **{"objective.kind": kind, "objective.noise_sigma": 0.0, "compressor.kind": "top_k", "compressor.k": 4,
+               "H": 4, "beta": 0.9},
         )
         (new, new_trace), (old, old_trace) = traced_run(cfg), ref.run(cfg)
         assert [(r.t, r.bits_cum, r.triggers) for r in new.rows] == [(r.t, r.bits_cum, r.triggers) for r in old.rows]
@@ -613,7 +616,9 @@ class TestDeterminism:
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_sample_shards_are_drawn_from_the_first_seed_stream(self, seed, kind, label_noise):
-        cfg = quick_config(seed=seed, **{"objective.kind": kind, "objective.samples_per_node": 5})
+        cfg = quick_config(
+            seed=seed, **{"objective.kind": kind, "objective.noise_sigma": 0.0, "objective.samples_per_node": 5}
+        )
         rng = data_stream(seed)
         x_true = rng.standard_normal(12)
         assert len(cfg.objective.feats) == len(cfg.objective.labels) == 8
