@@ -23,19 +23,30 @@ plus two protocol facts: every non-triggering node's copy drift is within
 its threshold, and with clipped gradients the momentum norm stays below
 G/(1-beta).
 
-Node state lives in (n, d) arrays (see squarm.node). What is per node in
-the algorithm stays one call per node, in node order: the stochastic
-gradient, the local step, the trigger test and encoding, each drawing from
-the node's own random stream. For the quadratic kind, every node's exact
-gradient comes from one product X A with the shared curvature matrix
+Node state lives in (n, d) arrays (see squarm.node), and a step runs as
+whole-graph phases:
+
+  gradients    objective.stochastic_grads, every node's stochastic gradient
+  local        node.local_steps, every node's momentum step
+  and, at a synchronization round,
+  trigger      node.fired, the nodes whose copy drift exceeds c_t eta^2
+  encode       encode_round, the fired nodes' decoded messages and bits
+  delivery     node.apply_incoming
+  consensus    node.consensus_step, the gossip correction
+
+Inside the gradient, local, trigger and encode phases each node is still
+one call, in node order, drawing from the node's own random stream: those
+per-node calls are what the benchmark counts today. Node i's gradient
+reads only row i of X and of the step-start product below, so computing
+every gradient before any local step is the same arithmetic as
+interleaving them. For the quadratic kind, every node's exact gradient
+comes from one product X A with the shared curvature matrix
 (objective.shared_curvature_grads): one before the first step and one
 after each step's consensus, which is both the next step's gradients and
 that step's metrics row's loss and gradient at the node average, so a run
 reads A T+1 times plus once per weighted-average row. Each node's
-stochastic-gradient call only adds its noise. Delivery of the round's
-messages and the gossip correction are one call each per synchronization
-round, and the averages, norms and distances behind the metrics and
-diagnostics are array reductions.
+stochastic-gradient call only adds its noise. The averages, norms and
+distances behind the metrics and diagnostics are array reductions.
 
 The run holds x_bar, the node average of X as it stands. X changes in
 place only in the local phase and in the consensus step, so x_bar is taken
@@ -45,8 +56,8 @@ average is the post-local x_bar), the virtual sequence and every metrics
 row read it instead of averaging X again.
 
 Everything is deterministic given the seed: each node owns a private random
-stream, the nodes take their local steps one after another in node order,
-and messages are always applied in fixed node order.
+stream, every phase visits the nodes in node order, and messages are
+always applied in fixed node order.
 
 A run diverges when the parameters stop being finite, which is checked
 after every local phase, or when a metrics row's loss or weighted-average
@@ -64,7 +75,7 @@ import numpy as np
 
 from . import node as node_ops
 from . import objective as obj_ops
-from .compress import bit_cost, decode, omega_of
+from .compress import CompressorSpec, bit_cost, decode, omega_of
 from .config import RunConfig, seed_streams
 from .errors import DivergenceError
 from .schedule import eta_at, p_of, threshold_at, weighted_avg_weight
@@ -146,18 +157,57 @@ def mean_preservation_check(x_bar_half: np.ndarray, x_bar_next: np.ndarray) -> f
     return float(np.abs(x_bar_next - x_bar_half).max())
 
 
+def trigger_violations(state: node_ops.NodeState, fired: list[int], c_t: float, eta: float) -> int:
+    """How many silent nodes the trigger test should have fired: their copy
+    drift, as node.drift_sq computes it, exceeds c_t eta^2.
+
+    One einsum over all rows preselects the nodes within rounding of the
+    threshold; its sums may differ from the trigger test's in the last bits,
+    so only drift_sq decides, and a tie the test kept silent is no violation."""
+    drift = state.X - state.Hat
+    limit = c_t * eta * eta
+    # two sums of d non-negative terms differ by at most 2 d u of their value
+    slack = 2.0 * drift.shape[1] * np.finfo(float).eps
+    near = np.einsum("ij,ij->i", drift, drift) > limit * (1.0 - slack)
+    near[fired] = False
+    return sum(node_ops.drift_sq(state, i) > limit for i in np.flatnonzero(near))
+
+
+def encode_round(
+    state: node_ops.NodeState,
+    fired: list[int],
+    spec: CompressorSpec,
+    rngs: list[np.random.Generator],
+    fanout: list[int],
+) -> tuple[np.ndarray, int, int]:
+    """The encode phase: (Q, bits, messages) for the fired nodes, ascending.
+
+    Q[k] is the decoded message of node fired[k], whose random compressor
+    draws from rngs[fired[k]]; a node's message counts fanout[i] times
+    towards bits and messages. One encode_update, decode and bit_cost call
+    per fired node."""
+    d = state.X.shape[1]
+    Q = np.empty((len(fired), d))
+    bits = messages = 0
+    for k, i in enumerate(fired):
+        msg = node_ops.encode_update(state, i, spec, rngs[i])
+        Q[k] = decode(msg)
+        bits += bit_cost(spec, d, msg) * fanout[i]
+        messages += fanout[i]
+    return Q, bits, messages
+
+
 @_QUIET
 def run(cfg: RunConfig) -> RunResult:
     W = cfg.topology
     obj = cfg.objective
     n, d = W.n, obj.d
     # the copies of one message a node's send makes: one broadcast, or one per neighbour
-    fanout = [1] * n if cfg.accounting == "broadcast" else [len(W.adjacency[i]) for i in range(n)]
+    fanout = [1] * n if cfg.accounting == "broadcast" else [len(nbrs) for nbrs in W.adjacency]
 
     _, x0_rng, node_rngs = seed_streams(cfg.seed, n)
     state = node_ops.make_state(initial_positions(x0_rng, n, d, cfg.x0_scale), cfg.variant)
     X, V = state.X, state.V
-    G = np.zeros((n, d))  # this step's stochastic gradients, row per node
 
     eval_every = cfg.eval_every if cfg.eval_every else max(1, cfg.T // 200)
     decaying = cfg.lr.kind == "decaying"  # else constant: LrSchedule has no third kind
@@ -208,8 +258,6 @@ def run(cfg: RunConfig) -> RunResult:
     def diverged(row: MetricsRow, why: str) -> DivergenceError:
         return DivergenceError(f"{why} at t={row.t}", partial=result(rows + [row]))
 
-    # node i's gradient reads only row i, which no earlier node's local
-    # step touches, so one product at the start of a step serves every node
     exact = obj_ops.shared_curvature_grads(obj, X)
     for t in range(cfg.T):
         eta = eta_at(cfg.lr, t)
@@ -219,12 +267,8 @@ def run(cfg: RunConfig) -> RunResult:
             wavg_acc += w_t * x_bar
             wavg_sum += w_t
 
-        for i in range(n):
-            g = obj_ops.stochastic_grad(obj, i, X[i], node_rngs[i], None if exact is None else exact[i])
-            if cfg.grad_clip is not None:
-                g = obj_ops.clip_to_norm(g, cfg.grad_clip)
-            node_ops.local_step(state, i, g, eta, cfg.beta)
-            G[i] = g
+        G = obj_ops.stochastic_grads(obj, X, node_rngs, exact, cfg.grad_clip)
+        node_ops.local_steps(state, G, eta, cfg.beta)
         x_bar = X.mean(axis=0)
         # a non-finite gradient entry makes its row of X non-finite too
         if not np.isfinite(X).all():
@@ -237,19 +281,12 @@ def run(cfg: RunConfig) -> RunResult:
 
         if (t + 1) % cfg.H == 0:
             c_t = threshold_at(cfg.threshold, t, eta)
-            fired = [i for i in range(n) if node_ops.should_trigger(state, i, c_t, eta)]
+            fired = node_ops.fired(state, c_t, eta)
             if cfg.diagnostics:
-                drift = X - state.Hat
-                silent = np.ones(n, dtype=bool)
-                silent[fired] = False
-                over = np.einsum("ij,ij->i", drift, drift)[silent] > c_t * eta * eta
-                diag.trigger_violations += int(np.count_nonzero(over))
-            Q = np.empty((len(fired), d))
-            for k, i in enumerate(fired):
-                msg = node_ops.encode_update(state, i, cfg.compressor, node_rngs[i])
-                Q[k] = decode(msg)
-                bits_cum += bit_cost(cfg.compressor, d, msg) * fanout[i]
-                messages += fanout[i]
+                diag.trigger_violations += trigger_violations(state, fired, c_t, eta)
+            Q, bits, sent = encode_round(state, fired, cfg.compressor, node_rngs, fanout)
+            bits_cum += bits
+            messages += sent
             triggers += len(fired)
             node_ops.apply_incoming(state, fired, Q, W.w)
             x_bar_half = x_bar

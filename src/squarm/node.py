@@ -19,10 +19,13 @@ comes in two variants that produce the same trajectories:
 
 since each weight row sums to one, s_i - hat_x_i = sum_j w_ij (hat_x_j - hat_x_i).
 
-The local step, the trigger test and encoding are per node in the
-algorithm (each acts on its own row and draws from the node's own random
-stream), so they take a node index. Delivery and consensus act on the
-whole graph, once per synchronization round.
+A step runs as whole-graph phases: local_steps moves every node, fired
+tests every node's trigger, and at a synchronization round apply_incoming
+delivers the round's messages and consensus_step applies the gossip
+correction. The first two still make one call per node, in node order, to
+local_step and should_trigger, each acting on its own row: those per-node
+calls, like encode_update's per fired node, are what the benchmark counts
+today.
 
 The local step uses the updated momentum buffer (v <- beta v + g, then
 x <- x - eta (beta v + g)); some momentum conventions use the stale buffer
@@ -66,11 +69,27 @@ def local_step(state: NodeState, i: int, g: np.ndarray, eta: float, beta: float)
     state.X[i] -= eta * (beta * v + g)
 
 
-def should_trigger(state: NodeState, i: int, c_t: float, eta: float) -> bool:
-    """True iff node i's copy drift ||x_i - hat_x_i||^2 strictly exceeds c_t eta^2;
-    no finite drift exceeds the never threshold's c_t = inf."""
+def local_steps(state: NodeState, G: np.ndarray, eta: float, beta: float) -> None:
+    """The local phase: every node's momentum step with its gradient row G[i]."""
+    for i in range(len(G)):
+        local_step(state, i, G[i], eta, beta)
+
+
+def drift_sq(state: NodeState, i: int) -> float:
+    """Node i's copy drift ||x_i - hat_x_i||^2, as the trigger test computes it."""
     diff = state.X[i] - state.Hat[i]
-    return float(diff @ diff) > c_t * eta * eta
+    return float(diff @ diff)
+
+
+def should_trigger(state: NodeState, i: int, c_t: float, eta: float) -> bool:
+    """True iff node i's copy drift strictly exceeds c_t eta^2; no finite
+    drift exceeds the never threshold's c_t = inf."""
+    return drift_sq(state, i) > c_t * eta * eta
+
+
+def fired(state: NodeState, c_t: float, eta: float) -> list[int]:
+    """The trigger phase: the nodes whose should_trigger holds, ascending."""
+    return [i for i in range(len(state.X)) if should_trigger(state, i, c_t, eta)]
 
 
 def encode_update(

@@ -36,6 +36,12 @@ least_squares_nonconvex
 The three sample-based kinds are built one way: from_shards takes per-node
 (features, labels) shards, drawn by synthetic_shards or read from a dataset
 file by load_dataset and split by partition_heterogeneous.
+
+A run's gradient phase is stochastic_grads: every node's stochastic
+gradient at its own row of X, drawn from the node's own stream and clipped
+when the run sets grad_clip. Inside it each node is still one
+stochastic_grad call, in node order; those per-node calls are what the
+benchmark counts today.
 """
 
 from __future__ import annotations
@@ -198,6 +204,24 @@ def stochastic_grad(
         raise DataError(f"node {i} has no local samples")
     batch = rng.integers(0, m, size=obj.batch_size)
     return _sample_grad(obj, a[batch], y[batch], x)
+
+
+def stochastic_grads(
+    obj: ObjectiveSet,
+    X: np.ndarray,
+    rngs: list[np.random.Generator],
+    exact: np.ndarray | None,
+    clip: float | None,
+) -> np.ndarray:
+    """The gradient phase: every node's stochastic gradient at its own row
+    of X, row i drawn from rngs[i] and rescaled by clip_to_norm when clip is
+    set; exact is shared_curvature_grads(obj, X) or None. One
+    stochastic_grad call per node, in node order."""
+    G = np.empty_like(X)
+    for i in range(len(X)):
+        g = stochastic_grad(obj, i, X[i], rngs[i], None if exact is None else exact[i])
+        G[i] = g if clip is None else clip_to_norm(g, clip)
+    return G
 
 
 def optimum(obj: ObjectiveSet) -> tuple[np.ndarray, float] | None:

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory, node_average_trajectory
-from squarm.compress import KINDS, CompressorSpec
+from squarm.compress import KINDS, CompressorSpec, bit_cost, decode
 from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
 from squarm.engine import (
     RunConfig,
+    encode_round,
     metrics_csv,
     run,
     summary_json,
+    trigger_violations,
 )
 from squarm.errors import ConfigError, DivergenceError
+from squarm.node import encode_update, fired, make_state
 from squarm.objective import optimum, quadratic_objective
 from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
@@ -323,6 +326,53 @@ class TestVariantEquivalence:
             np.abs(a - b).max() for a, b in zip(full, mem)
         )
         assert worst < 1e-10
+
+
+class TestRoundPhases:
+    @staticmethod
+    def tie_state(d=200):
+        """A state whose node 0 drifts by D = diff @ diff, node 1 by D/4 and
+        node 2 by 4 D, with node 0's einsum sum above D where one is found."""
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            row = rng.standard_normal(d)
+            X = np.stack([row, 0.5 * row, 2.0 * row])
+            if np.einsum("ij,ij->i", X, X)[0] > row @ row:
+                break
+        return make_state(X, "full_copy"), float(row @ row)
+
+    def test_a_tie_the_trigger_test_kept_silent_is_no_violation(self):
+        state, drift = self.tie_state()
+        c_t, eta = 4.0 * drift, 0.5  # c_t eta^2 is node 0's drift exactly
+        assert fired(state, c_t, eta) == [2]
+        assert trigger_violations(state, [2], c_t, eta) == 0
+
+    def test_a_node_left_out_of_fired_is_a_violation(self):
+        state, drift = self.tie_state()
+        c_t, eta = 4.0 * drift, 0.5
+        assert trigger_violations(state, [], c_t, eta) == 1
+        assert trigger_violations(state, [0, 1], c_t, eta) == 1
+        assert trigger_violations(state, [], 0.5 * c_t, eta) == 2  # now node 0 exceeds too
+        assert trigger_violations(state, [], 0.0, eta) == 3
+        assert trigger_violations(state, [], np.inf, eta) == 0
+
+    @pytest.mark.parametrize("spec", [CompressorSpec("rand_k", k=3), CompressorSpec("qsgd_top_k", k=3, s=4),
+                                      CompressorSpec("sign_top_k", k=2)], ids=lambda s: s.kind)
+    def test_encode_round_is_the_per_node_loop(self, spec):
+        rng = np.random.default_rng(41)
+        n, d = 7, 11
+        for seed in range(5):
+            state = make_state(rng.standard_normal((n, d)), "full_copy")
+            state.Hat[:] = rng.standard_normal((n, d))
+            sent = sorted(rng.choice(n, size=4, replace=False).tolist())
+            fanout = rng.integers(1, 4, size=n).tolist()
+            rngs, want_rngs = seed_streams(seed, n)[2], seed_streams(seed, n)[2]
+            Q, bits, messages = encode_round(state, sent, spec, rngs, fanout)
+            msgs = [encode_update(state, i, spec, want_rngs[i]) for i in sent]
+            assert np.array_equal(Q, np.array([decode(m) for m in msgs]))
+            assert bits == sum(bit_cost(spec, d, m) * fanout[i] for i, m in zip(sent, msgs))
+            assert messages == sum(fanout[i] for i in sent)
+            assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
 
 
 class TestBroadcastConsistency:

@@ -4,10 +4,13 @@ import pytest
 from squarm.compress import CompressorSpec, decode
 from squarm.errors import ParameterError
 from squarm.node import (
+    NodeState,
     apply_incoming,
     consensus_step,
     encode_update,
+    fired,
     local_step,
+    local_steps,
     make_state,
     should_trigger,
 )
@@ -110,6 +113,50 @@ class TestTrigger:
         st = fresh()
         st.X[:] = 1e6
         assert not should_trigger(st, 0, np.inf, 1.0)
+
+
+def drawn_state(rng, n=9, d=13):
+    st = fresh(n, d, x0=rng.standard_normal((n, d)))
+    st.V[:] = rng.standard_normal((n, d))
+    st.Hat[:] = st.X + rng.standard_normal((n, d)) * rng.random((n, 1))
+    st.Hat[::4] = st.X[::4]  # some nodes without drift
+    return st
+
+
+class TestPhases:
+    """Each whole-graph phase equals its per-node loop, bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_local_steps_is_the_per_node_loop(self, beta):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            st = drawn_state(rng)
+            want = NodeState(st.X.copy(), st.V.copy(), st.Hat.copy())
+            G = rng.standard_normal(st.X.shape)
+            eta = float(rng.random())
+            local_steps(st, G, eta, beta)
+            for i in range(len(G)):
+                local_step(want, i, G[i], eta, beta)
+            assert np.array_equal(st.X, want.X) and np.array_equal(st.V, want.V)
+            assert np.array_equal(st.Hat, want.Hat)
+
+    @pytest.mark.parametrize("threshold", ["always", "never", "finite"])
+    def test_fired_is_the_per_node_loop(self, threshold):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            st = drawn_state(rng)
+            eta = float(rng.random())
+            drift = ((st.X - st.Hat) ** 2).sum(axis=1)
+            c_t = {"always": 0.0, "never": np.inf, "finite": float(np.median(drift)) / eta**2}[threshold]
+            got = fired(st, c_t, eta)
+            assert got == [i for i in range(len(st.X)) if should_trigger(st, i, c_t, eta)]
+            assert all(type(i) is int for i in got)
+            if threshold == "always":
+                assert got == [i for i in range(len(st.X)) if i % 4]
+            if threshold == "never":
+                assert got == []
+            if threshold == "finite":
+                assert 0 < len(got) < len(st.X)
 
 
 class TestEncodeApply:

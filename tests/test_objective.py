@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grad
+from squarm.config import seed_streams
 from squarm.errors import DataError, ParameterError
 from squarm.objective import (
     ObjectiveSet,
@@ -17,6 +18,7 @@ from squarm.objective import (
     quadratic_objective,
     shared_curvature_grads,
     stochastic_grad,
+    stochastic_grads,
     synthetic_shards,
 )
 
@@ -115,6 +117,59 @@ class TestStochasticity:
             [stochastic_grad(obj, 0, x, rng) - exact for _ in range(100_000)]
         )
         assert draws.var() == pytest.approx(sigma**2, rel=0.05)
+
+    @pytest.mark.parametrize("d", [20, 200, 2000])
+    def test_block_normal_draw_is_the_per_step_draws(self, d):
+        # a node's noise for K steps may be drawn in one call: the same
+        # numbers, and the stream left where the K draws leave it
+        K = 64
+        for seed in range(1, 6):
+            per_step, block = (seed_streams(seed, 1)[2][0] for _ in range(2))
+            steps = np.stack([per_step.standard_normal(d) for _ in range(K)])
+            assert np.array_equal(block.standard_normal((K, d)), steps)
+            assert block.bit_generator.state == per_step.bit_generator.state
+
+    @pytest.mark.parametrize("m,b", [(32, 1), (32, 8), (1000, 3)])
+    def test_block_batch_draw_is_the_per_step_draws(self, m, b):
+        K = 64
+        for seed in range(1, 6):
+            per_step, block = (seed_streams(seed, 1)[2][0] for _ in range(2))
+            steps = np.stack([per_step.integers(0, m, size=b) for _ in range(K)])
+            assert np.array_equal(block.integers(0, m, size=(K, b)), steps)
+            assert block.bit_generator.state == per_step.bit_generator.state
+
+
+class TestGradientPhase:
+    """stochastic_grads equals its per-node loop, bit for bit, streams included."""
+
+    @staticmethod
+    def per_node(obj, X, rngs, exact, clip):
+        rows = []
+        for i in range(obj.n):
+            g = stochastic_grad(obj, i, X[i], rngs[i], None if exact is None else exact[i])
+            rows.append(g if clip is None else clip_to_norm(g, clip))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize(
+        "kind", ["quadratic", "quadratic exact", "least_squares", "least_squares_nonconvex", "logistic_l2"]
+    )
+    def test_is_the_per_node_loop(self, kind, clip):
+        rng = np.random.default_rng(30)
+        obj = {o.kind: o for o in all_kinds(rng)}[kind.split()[0]]
+        for seed in range(5):
+            X = 3.0 * rng.standard_normal((obj.n, obj.d))
+            exact = shared_curvature_grads(obj, X) if kind.endswith("exact") else None
+            X_before = X.copy()
+            radius = None
+            if clip:  # a radius that rescales about half of the rows
+                unclipped = self.per_node(obj, X, seed_streams(seed, obj.n)[2], exact, None)
+                radius = float(np.median(np.linalg.norm(unclipped, axis=1)))
+            rngs, want_rngs = seed_streams(seed, obj.n)[2], seed_streams(seed, obj.n)[2]
+            G = stochastic_grads(obj, X, rngs, exact, radius)
+            assert np.array_equal(G, self.per_node(obj, X, want_rngs, exact, radius))
+            assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in want_rngs]
+            assert np.array_equal(X, X_before)
 
 
 class TestSharedCurvature:
