@@ -82,7 +82,7 @@ KEYS: dict[str, Key] = {
     "gamma.kind": Key(str, "explicit", ("explicit", "auto_relaxed", "auto_strong")),
     "gamma.value": Key(float, 1.0, _UNIT),
     "gamma.omega": Key(float, UNSET, _UNIT),
-    "threshold.kind": Key(str, "always", ("always", "never", "poly", "const_eta", "piecewise")),
+    "threshold.kind": Key(str, "always", tuple(sched.THRESHOLD_KINDS)),
     "threshold.c0": Key(float, UNSET, _NONNEGATIVE),
     "threshold.epsilon": Key(float, UNSET, _UNIT),
     "threshold.init": Key(float, UNSET, _NONNEGATIVE),
@@ -218,14 +218,6 @@ def seed_streams(seed: int, n: int):
     return np.random.default_rng(data_ss), np.random.default_rng(x0_ss), node_rngs
 
 
-def data_stream(seed: int) -> np.random.Generator:
-    """seed_streams(seed, n)[0], the objective's stream, without spawning the
-    x0 and node streams: a SeedSequence's first child is the same whatever
-    number of children is spawned with it."""
-    (data_ss,) = np.random.SeedSequence(seed).spawn(1)
-    return np.random.default_rng(data_ss)
-
-
 def _as_edge(key: str, value) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{key}: expected [i, j] pairs, got {value!r}")
@@ -326,7 +318,7 @@ def _build_objective(flat: dict) -> obj_ops.ObjectiveSet:
 
 
 def _read_only_objective(flat: dict) -> obj_ops.ObjectiveSet:
-    obj = _new_objective(flat, data_stream(flat["seed"]))
+    obj = _new_objective(flat, seed_streams(flat["seed"], flat["topology.n"])[0])
     for a in (obj.quad_a, obj.quad_b, obj.quad_const, *obj.feats, *obj.labels):
         if a is not None:
             a.setflags(write=False)
@@ -483,20 +475,8 @@ def _shown(minimum: float, spec: str) -> str:
 
 def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
     kind = flat["threshold.kind"]
-    if kind in ("always", "never"):
-        return sched.ThresholdSchedule(kind=kind)
-    if kind in ("poly", "const_eta"):
-        return sched.ThresholdSchedule(
-            kind=kind,
-            c0=_require(flat, "threshold.c0"),
-            epsilon=_require(flat, "threshold.epsilon"),
-        )
-    return sched.ThresholdSchedule(
-        kind=kind,
-        init=_require(flat, "threshold.init"),
-        step=_require(flat, "threshold.step"),
-        period=_require(flat, "threshold.period"),
-    )
+    fields = {name: _require(flat, f"threshold.{name}") for name in sched.THRESHOLD_KINDS[kind]}
+    return sched.ThresholdSchedule(kind=kind, **fields)
 
 
 def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:

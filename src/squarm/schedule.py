@@ -70,6 +70,17 @@ def eta_at(sched: LrSchedule, t: int) -> float:
     return sched.b / (sched.a + t)
 
 
+# each threshold kind and the ThresholdSchedule fields it reads, in the
+# order a config missing them is refused
+THRESHOLD_KINDS: dict[str, tuple[str, ...]] = {
+    "always": (),
+    "never": (),
+    "poly": ("c0", "epsilon"),
+    "const_eta": ("c0", "epsilon"),
+    "piecewise": ("init", "step", "period"),
+}
+
+
 @dataclass(frozen=True)
 class ThresholdSchedule:
     """Triggering threshold sequence c_t.
@@ -89,14 +100,15 @@ class ThresholdSchedule:
     period: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("always", "never", "poly", "const_eta", "piecewise"):
+        fields = THRESHOLD_KINDS.get(self.kind)
+        if fields is None:
             raise ParameterError(f"unknown threshold kind {self.kind!r}")
-        if self.kind in ("poly", "const_eta"):
+        if "c0" in fields:
             if self.c0 < 0:
                 raise ParameterError("threshold c0 must be >= 0")
             if not 0.0 < self.epsilon <= 1.0:
                 raise ParameterError("threshold epsilon must be in (0, 1]")
-        if self.kind == "piecewise":
+        if "period" in fields:
             if self.init < 0 or self.step < 0:
                 raise ParameterError("piecewise threshold needs init, step >= 0")
             if self.period < 1:

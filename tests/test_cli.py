@@ -383,8 +383,14 @@ class TestRun:
             ("--compressor.kind=qsgd", "compressor.s"),
             ("--lr.kind=constant", "lr.eta"),
             ("--lr.kind=decaying", "lr.b"),
+            # each threshold kind's parameters, each refused while the ones before it are set
             ("--threshold.kind=poly", "threshold.c0"),
+            ("--threshold.kind=poly --threshold.c0=1", "threshold.epsilon"),
+            ("--threshold.kind=const_eta", "threshold.c0"),
+            ("--threshold.kind=const_eta --threshold.c0=1", "threshold.epsilon"),
             ("--threshold.kind=piecewise", "threshold.init"),
+            ("--threshold.kind=piecewise --threshold.init=1", "threshold.step"),
+            ("--threshold.kind=piecewise --threshold.init=1 --threshold.step=1", "threshold.period"),
             ("--topology.kind=custom", "topology.edges"),
             # mu of an objective that is not strongly convex is left to lr.mu
             ("--lr.kind=auto_decaying --objective.kind=least_squares", "lr.mu"),
@@ -393,6 +399,12 @@ class TestRun:
     def test_keys_a_kind_requires_are_named(self, tmp_path, capsys, kind, key):
         assert main(["run", "--out", str(tmp_path), "--T=1", *kind.split()]) == 2
         assert capsys.readouterr().err == f"error: missing config key {key!r}\n"
+
+    def test_unknown_threshold_kind_lists_the_kinds(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path), "--T=1", "--threshold.kind=bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "error: threshold.kind: expected one of always, never, poly, const_eta, piecewise, got 'bogus'\n"
+        )
 
     def test_disconnected_custom_graph_names_its_edges(self, tmp_path, capsys):
         flags = ["--topology.kind=custom", "--topology.n=4", "--topology.edges=[[0,1],[2,3]]",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory, node_average_trajectory
 from squarm.compress import KINDS, CompressorSpec, bit_cost, decode
-from squarm.config import KEYS, build_run_config, data_stream, merged, seed_streams
+from squarm.config import KEYS, build_run_config, merged, seed_streams
 from squarm.engine import (
     RunConfig,
     encode_round,
@@ -19,7 +19,7 @@ from squarm.engine import (
     trigger_violations,
 )
 from squarm.errors import ConfigError, DivergenceError
-from squarm.node import encode_update, fired, make_state
+from squarm.node import drift_sq, encode_update, fired, make_state
 from squarm.objective import optimum, quadratic_objective
 from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
@@ -356,6 +356,25 @@ class TestRoundPhases:
         assert trigger_violations(state, [], 0.0, eta) == 3
         assert trigger_violations(state, [], np.inf, eta) == 0
 
+    @pytest.mark.parametrize("d", [2, 20, 200, 2000])
+    def test_the_prefilter_keeps_every_node_within_rounding_of_the_threshold(self, d):
+        # six rows whose einsum sum (the prefilter's) lies below their
+        # diff @ diff, six above; at eta = 1 the limit c_t eta^2 is c_t exactly
+        rows = np.random.default_rng(d).standard_normal((400, d))
+        sums, dots = np.einsum("ij,ij->i", rows, rows), np.array([row @ row for row in rows])
+        state = make_state(np.concatenate([rows[sums < dots][:6], rows[sums > dots][:6]]), "full_copy")
+        n = len(state.X)
+        sums, dots = np.einsum("ij,ij->i", state.X, state.X), np.array([drift_sq(state, i) for i in range(n)])
+        assert n == 12 and (sums[:6] < dots[:6]).all() and (sums[6:] > dots[6:]).all()
+        for i in range(n):
+            drift = drift_sq(state, i)
+            sent = fired(state, drift, 1.0)  # node i ties and stays silent
+            silent = [j for j in range(n) if j not in sent]
+            # at its drift node i is no violation, one ulp below it is one
+            for c_t, want in ((drift, 0), (np.nextafter(drift, 0.0), 1)):
+                brute = sum(drift_sq(state, j) > c_t for j in silent)
+                assert trigger_violations(state, sent, c_t, 1.0) == brute == want
+
     @pytest.mark.parametrize("spec", [CompressorSpec("rand_k", k=3), CompressorSpec("qsgd_top_k", k=3, s=4),
                                       CompressorSpec("sign_top_k", k=2)], ids=lambda s: s.kind)
     def test_encode_round_is_the_per_node_loop(self, spec):
@@ -647,12 +666,6 @@ class TestDeterminism:
             outs.append(metrics_csv(run(cfg)))
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("n", [3, 128])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_data_stream_is_the_first_seed_stream(self, seed, n):
-        data_rng, _, _ = seed_streams(seed, n)
-        assert np.array_equal(data_stream(seed).random(64), data_rng.random(64))
-
     @pytest.mark.parametrize("seed", range(4))
     def test_quadratic_is_built_from_the_first_seed_stream(self, seed):
         cfg = quick_config(seed=seed)
@@ -669,7 +682,7 @@ class TestDeterminism:
         cfg = quick_config(
             seed=seed, **{"objective.kind": kind, "objective.noise_sigma": 0.0, "objective.samples_per_node": 5}
         )
-        rng = data_stream(seed)
+        rng, _, _ = seed_streams(seed, 8)
         x_true = rng.standard_normal(12)
         assert len(cfg.objective.feats) == len(cfg.objective.labels) == 8
         for a, y in zip(cfg.objective.feats, cfg.objective.labels):
