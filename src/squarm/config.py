@@ -318,7 +318,8 @@ def _build_objective(flat: dict) -> obj_ops.ObjectiveSet:
 
 
 def _read_only_objective(flat: dict) -> obj_ops.ObjectiveSet:
-    obj = _new_objective(flat, seed_streams(flat["seed"], flat["topology.n"])[0])
+    # the data stream does not depend on n, so spawn no node streams for it
+    obj = _new_objective(flat, seed_streams(flat["seed"], 0)[0])
     for a in (obj.quad_a, obj.quad_b, obj.quad_const, *obj.feats, *obj.labels):
         if a is not None:
             a.setflags(write=False)

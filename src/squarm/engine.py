@@ -20,8 +20,9 @@ With diagnostics on, each run verifies two algebraic identities online:
                       did (inf-norm defect < 1e-8);
 
 plus two protocol facts: every non-triggering node's copy drift is within
-its threshold, and with clipped gradients the momentum norm stays below
-G/(1-beta).
+its threshold, with every node's drift taken at once by one stacked product
+whose rows are bitwise the trigger test's own dot, and with clipped
+gradients the momentum norm stays below G/(1-beta).
 
 Node state lives in (n, d) arrays (see squarm.node), and a step runs as
 whole-graph phases:
@@ -159,18 +160,16 @@ def mean_preservation_check(x_bar_half: np.ndarray, x_bar_next: np.ndarray) -> f
 
 def trigger_violations(state: node_ops.NodeState, fired: list[int], c_t: float, eta: float) -> int:
     """How many silent nodes the trigger test should have fired: their copy
-    drift, as node.drift_sq computes it, exceeds c_t eta^2.
+    drift exceeds c_t eta^2.
 
-    One einsum over all rows preselects the nodes within rounding of the
-    threshold; its sums may differ from the trigger test's in the last bits,
-    so only drift_sq decides, and a tie the test kept silent is no violation."""
-    drift = state.X - state.Hat
-    limit = c_t * eta * eta
-    # two sums of d non-negative terms differ by at most 2 d u of their value
-    slack = 2.0 * drift.shape[1] * np.finfo(float).eps
-    near = np.einsum("ij,ij->i", drift, drift) > limit * (1.0 - slack)
-    near[fired] = False
-    return sum(node_ops.drift_sq(state, i) > limit for i in np.flatnonzero(near))
+    Each row of the stacked product D[:, None, :] @ D[:, :, None] is the same
+    dot as should_trigger's diff @ diff, bit for bit, so a tie the test kept
+    silent is no violation."""
+    D = state.X - state.Hat
+    sq = (D[:, None, :] @ D[:, :, None]).ravel()
+    silent = np.ones(len(sq), dtype=bool)
+    silent[fired] = False
+    return int(np.count_nonzero(sq[silent] > c_t * eta * eta))
 
 
 def encode_round(

@@ -30,7 +30,9 @@ today.
 The local step uses the updated momentum buffer (v <- beta v + g, then
 x <- x - eta (beta v + g)); some momentum conventions use the stale buffer
 instead, so this is worth stating. Triggering is strict (>), so a zero
-threshold still suppresses exact-zero differences.
+threshold still suppresses exact-zero differences. The copy drift is
+diff @ diff; engine.trigger_violations takes every node's at once as the
+rows of a stacked product, which are bitwise that dot.
 """
 
 from __future__ import annotations
@@ -75,16 +77,11 @@ def local_steps(state: NodeState, G: np.ndarray, eta: float, beta: float) -> Non
         local_step(state, i, G[i], eta, beta)
 
 
-def drift_sq(state: NodeState, i: int) -> float:
-    """Node i's copy drift ||x_i - hat_x_i||^2, as the trigger test computes it."""
-    diff = state.X[i] - state.Hat[i]
-    return float(diff @ diff)
-
-
 def should_trigger(state: NodeState, i: int, c_t: float, eta: float) -> bool:
-    """True iff node i's copy drift strictly exceeds c_t eta^2; no finite
-    drift exceeds the never threshold's c_t = inf."""
-    return drift_sq(state, i) > c_t * eta * eta
+    """True iff node i's copy drift ||x_i - hat_x_i||^2 strictly exceeds
+    c_t eta^2; no finite drift exceeds the never threshold's c_t = inf."""
+    diff = state.X[i] - state.Hat[i]
+    return float(diff @ diff) > c_t * eta * eta
 
 
 def fired(state: NodeState, c_t: float, eta: float) -> list[int]:

@@ -19,7 +19,7 @@ from squarm.engine import (
     trigger_violations,
 )
 from squarm.errors import ConfigError, DivergenceError
-from squarm.node import drift_sq, encode_update, fired, make_state
+from squarm.node import encode_update, fired, make_state, should_trigger
 from squarm.objective import optimum, quadratic_objective
 from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
@@ -356,24 +356,24 @@ class TestRoundPhases:
         assert trigger_violations(state, [], 0.0, eta) == 3
         assert trigger_violations(state, [], np.inf, eta) == 0
 
-    @pytest.mark.parametrize("d", [2, 20, 200, 2000])
-    def test_the_prefilter_keeps_every_node_within_rounding_of_the_threshold(self, d):
-        # six rows whose einsum sum (the prefilter's) lies below their
-        # diff @ diff, six above; at eta = 1 the limit c_t eta^2 is c_t exactly
-        rows = np.random.default_rng(d).standard_normal((400, d))
-        sums, dots = np.einsum("ij,ij->i", rows, rows), np.array([row @ row for row in rows])
-        state = make_state(np.concatenate([rows[sums < dots][:6], rows[sums > dots][:6]]), "full_copy")
-        n = len(state.X)
-        sums, dots = np.einsum("ij,ij->i", state.X, state.X), np.array([drift_sq(state, i) for i in range(n)])
-        assert n == 12 and (sums[:6] < dots[:6]).all() and (sums[6:] > dots[6:]).all()
-        for i in range(n):
-            drift = drift_sq(state, i)
-            sent = fired(state, drift, 1.0)  # node i ties and stays silent
-            silent = [j for j in range(n) if j not in sent]
-            # at its drift node i is no violation, one ulp below it is one
-            for c_t, want in ((drift, 0), (np.nextafter(drift, 0.0), 1)):
-                brute = sum(drift_sq(state, j) > c_t for j in silent)
-                assert trigger_violations(state, sent, c_t, 1.0) == brute == want
+    def test_each_stacked_row_is_the_trigger_tests_own_dot(self):
+        # rows scaled over decades, at every d from 1 to 2000; at eta = 1 the
+        # limit c_t eta^2 is c_t exactly
+        rng, scales, einsum_differs = np.random.default_rng(24), np.logspace(-6, 6, 6)[:, None], 0
+        for d in range(1, 2001):
+            state = make_state(scales * rng.standard_normal((6, d)), "full_copy")
+            dots = np.array([float(row @ row) for row in state.X])
+            stacked = (state.X[:, None, :] @ state.X[:, :, None]).ravel()
+            assert np.array_equal(stacked, dots), d
+            einsum_differs += np.count_nonzero(np.einsum("ij,ij->i", state.X, state.X) != dots)
+            for drift in dots:
+                sent = fired(state, drift, 1.0)  # the node at this drift ties and stays silent
+                silent = [j for j in range(len(dots)) if j not in sent]
+                # at its drift the node is no violation, one ulp below it is one
+                for c_t, want in ((drift, 0), (np.nextafter(drift, 0.0), 1)):
+                    brute = sum(should_trigger(state, j, c_t, 1.0) for j in silent)
+                    assert trigger_violations(state, sent, c_t, 1.0) == brute == want, d
+        assert einsum_differs > 1000  # so an einsum in the product's place fails above
 
     @pytest.mark.parametrize("spec", [CompressorSpec("rand_k", k=3), CompressorSpec("qsgd_top_k", k=3, s=4),
                                       CompressorSpec("sign_top_k", k=2)], ids=lambda s: s.kind)
@@ -669,10 +669,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", range(4))
     def test_quadratic_is_built_from_the_first_seed_stream(self, seed):
         cfg = quick_config(seed=seed)
-        data_rng, _, _ = seed_streams(seed, 8)
-        obj = quadratic_objective(8, 12, data_rng, mu=0.5, L=4.0, noise_sigma=0.1)
-        assert np.array_equal(cfg.objective.quad_a, obj.quad_a)
-        assert np.array_equal(cfg.objective.quad_b, obj.quad_b)
+        for n in (0, 1, 8, 128):  # the first stream does not depend on the node count
+            data_rng, _, _ = seed_streams(seed, n)
+            obj = quadratic_objective(8, 12, data_rng, mu=0.5, L=4.0, noise_sigma=0.1)
+            assert np.array_equal(cfg.objective.quad_a, obj.quad_a)
+            assert np.array_equal(cfg.objective.quad_b, obj.quad_b)
 
     @pytest.mark.parametrize(
         "kind, label_noise", [("least_squares", 0.1), ("least_squares_nonconvex", 0.1), ("logistic_l2", 0.5)]
