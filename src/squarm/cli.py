@@ -10,17 +10,16 @@ Commands:
 Configs are flat JSON objects with dotted keys; any key can be overridden
 with --key=value (flags win over the file, the file wins over a preset).
 Exit codes: 0 success, 1 verification/run failure, 2 usage or config error.
-SQUARM_SEED is used as the seed when none is configured.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
+from .compress import SPARSE_KINDS
 from .config import build_run_config, merged
 from .engine import FINAL_FIELDS, RunResult, csv_line, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
@@ -68,10 +67,7 @@ def _assemble(args, extras: list[str]) -> dict:
         layers.append(preset(args.preset))
     layers.append(_load_config_file(getattr(args, "config", None)))
     layers.append(_parse_overrides(extras))
-    flat = merged(*layers)
-    if "seed" not in {k for layer in layers for k in layer} and os.environ.get("SQUARM_SEED"):
-        flat["seed"] = _parse_value(os.environ["SQUARM_SEED"])
-    return flat
+    return merged(*layers)
 
 
 def _run(flat: dict, label: str = "") -> tuple[RunResult, bool]:
@@ -144,6 +140,11 @@ def cmd_sweep(args, extras) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise SquarmError("sweep needs a non-empty comma-separated --values list")
+    if args.axis == "k" and flat["compressor.kind"] not in SPARSE_KINDS:
+        raise SquarmError(
+            f"--axis k: compressor.kind {flat['compressor.kind']!r} reads no k"
+            f" (the kinds that do: {', '.join(SPARSE_KINDS)})"
+        )
     _write(args.out, {})
     lines = [csv_line(("value", *FINAL_FIELDS))]
     code = 0

@@ -203,15 +203,29 @@ class TestRun:
         assert main(["run", "--T=5", "--out", str(out)]) == 2
         assert f"error: --out: [Errno 21] Is a directory: '{out / 'summary.json'}'" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, tmp_path, base_config, monkeypatch):
+    def test_outputs_do_not_depend_on_a_squarm_seed_variable(self, tmp_path, base_config):
+        # the config sets no seed, so only its default of 0 may decide the run
         cfg = json.loads(base_config.read_text())
         del cfg["seed"]
         base_config.write_text(json.dumps(cfg))
-        monkeypatch.setenv("SQUARM_SEED", "42")
-        out = tmp_path / "envseed"
-        assert main(["run", "--config", str(base_config), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["seed"] == 42
+        commands = {
+            "run": (["run"], ("metrics.csv", "summary.json")),
+            "sweep": (["sweep", "--axis", "T", "--values", "40,80"], ("sweep.csv",)),
+        }
+        outs = {}
+        for label, extra_env in [("unset", {}), ("42", {"SQUARM_SEED": "42"}), ("abc", {"SQUARM_SEED": "abc"})]:
+            for command, (args, names) in commands.items():
+                out = tmp_path / label / command
+                proc = subprocess.run(
+                    [sys.executable, "-m", "squarm", *args, "--config", str(base_config), "--out", str(out)],
+                    capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC), **extra_env},
+                )
+                assert proc.returncode == 0, (label, command, proc.stderr)
+                outs[label, command] = [(out / name).read_bytes() for name in names]
+        assert json.loads(outs["unset", "run"][1])["config"]["seed"] == 0
+        for command in commands:
+            assert outs["42", command] == outs["unset", command], command
+            assert outs["abc", command] == outs["unset", command], command
 
     @pytest.mark.parametrize(
         "args",
@@ -601,6 +615,33 @@ class TestSweep:
                 "--compressor.kind=top_k", "--T=30"]
         assert main(args) == 0
         assert dead == [[], [True], [True, True]]
+
+    @pytest.mark.parametrize("flags", [[], ["--compressor.kind=qsgd", "--compressor.s=2"],
+                                       ["--compressor.kind=scaled_sign"]], ids=["identity", "qsgd", "scaled_sign"])
+    def test_k_axis_of_a_kind_that_reads_no_k_exits_2_before_running(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("squarm.cli.build_run_config", lambda flat: pytest.fail("a point started"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "k", "--values", "1,2", "--T=3", *flags, "--out", str(out)]) == 2
+        kind = flags[0].partition("=")[2] if flags else "identity"
+        err = capsys.readouterr().err
+        assert err == (f"error: --axis k: compressor.kind {kind!r} reads no k"
+                       " (the kinds that do: top_k, rand_k, sign_top_k, qsgd_top_k)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["top_k", "rand_k", "sign_top_k", "qsgd_top_k"])
+    def test_k_axis_of_a_sparse_kind_sweeps_k(self, tmp_path, kind):
+        flags = ["--topology.n=4", "--objective.d=10", "--T=20", "--seed=2", f"--compressor.kind={kind}",
+                 "--compressor.s=4"]
+        assert main(["sweep", *flags, "--axis", "k", "--values", "1,3", "--out", str(tmp_path / "sweep")]) == 0
+        points = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()))
+        assert [point["value"] for point in points] == ["1", "3"]
+        assert points[0]["bits_cum"] != points[1]["bits_cum"]
+        for point in points:
+            value = point.pop("value")
+            out = tmp_path / f"k{value}"
+            assert main(["run", *flags, f"--compressor.k={value}", "--out", str(out)]) == 0
+            last = list(csv.DictReader((out / "metrics.csv").read_text().splitlines()))[-1]
+            assert point == {name: last[name] for name in point}, value
 
     def test_refused_point_exits_2_and_keeps_finished_points(self, tmp_path, capsys):
         out = tmp_path / "sweep"
