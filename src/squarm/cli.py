@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .compress import SPARSE_KINDS
+from .compress import KINDS
 from .config import build_run_config, merged
 from .engine import FINAL_FIELDS, RunResult, csv_line, derived_constants, metrics_csv, run, summary_json
 from .errors import DivergenceError, SquarmError
@@ -140,10 +140,12 @@ def cmd_sweep(args, extras) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise SquarmError("sweep needs a non-empty comma-separated --values list")
-    if args.axis == "k" and flat["compressor.kind"] not in SPARSE_KINDS:
+    # flat is not coerced yet: a kind that is not even hashable is refused here too
+    k_kinds = [kind for kind, counts in KINDS.items() if "k" in counts]
+    if args.axis == "k" and flat["compressor.kind"] not in k_kinds:
         raise SquarmError(
             f"--axis k: compressor.kind {flat['compressor.kind']!r} reads no k"
-            f" (the kinds that do: {', '.join(SPARSE_KINDS)})"
+            f" (the kinds that do: {', '.join(k_kinds)})"
         )
     _write(args.out, {})
     lines = [csv_line(("value", *FINAL_FIELDS))]

@@ -34,18 +34,16 @@ import numpy as np
 
 from .errors import ParameterError
 
-KINDS = (
-    "identity",
-    "top_k",
-    "rand_k",
-    "qsgd",
-    "scaled_sign",
-    "sign_top_k",
-    "qsgd_top_k",
-)
-
-SPARSE_KINDS = ("top_k", "rand_k", "sign_top_k", "qsgd_top_k")
-QUANT_KINDS = ("qsgd", "qsgd_top_k")
+# each kind and the CompressorSpec counts it reads, in the order a config missing them is refused
+KINDS: dict[str, tuple[str, ...]] = {
+    "identity": (),
+    "top_k": ("k",),
+    "rand_k": ("k",),
+    "qsgd": ("s",),
+    "scaled_sign": (),
+    "sign_top_k": ("k",),
+    "qsgd_top_k": ("k", "s"),
+}
 
 
 @dataclass(frozen=True)
@@ -65,12 +63,9 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown compressor kind {self.kind!r}")
-        if self.kind in SPARSE_KINDS:
-            if self.k is None or self.k < 1:
-                raise ParameterError(f"{self.kind} needs k >= 1")
-        if self.kind in QUANT_KINDS:
-            if self.s is None or self.s < 1:
-                raise ParameterError(f"{self.kind} needs s >= 1")
+        for name in KINDS[self.kind]:
+            if getattr(self, name) is None or getattr(self, name) < 1:
+                raise ParameterError(f"{self.kind} needs {name} >= 1")
         if self.value_bits < 1:
             raise ParameterError("value_bits must be >= 1")
 
@@ -137,7 +132,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng: np.random.Generator) -> C
     kind = spec.kind
     support = None
     scale = None
-    if kind in SPARSE_KINDS:
+    if "k" in KINDS[kind]:
         k = _check_sparsifier(spec, d)
         if kind == "rand_k":
             support = np.sort(rng.choice(d, size=k, replace=False))

@@ -13,9 +13,9 @@ defaults of those that have one from it, so a RunConfig built directly is
 refused with the same errors as a config file and defaults like one.
 
 build_run_config keeps the last graph and the last objective it built and
-hands the same object to the next config with an equal key (_reused): for
-the graph every topology.* value, for the objective the seed, topology.n
-and every objective.* value, each compared by repr. A hit is bitwise a
+hands the same object to the next config with an equal key (_reused): the
+kind, topology.n, for the objective also the seed and objective.d, and the
+keys READS says the kind reads, each compared by repr. A hit is bitwise a
 fresh build, and both are read-only, so runs share them without a copy.
 The last of each stays in memory after a run (128 MB of dense w for a ring
 at n=4096); a sweep over T, H or k builds both once, an n sweep rebuilds
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import objective as obj_ops
 from . import schedule as sched
-from .compress import KINDS, QUANT_KINDS, SPARSE_KINDS, CompressorSpec, omega_of
+from .compress import KINDS, CompressorSpec, omega_of
 from .errors import ConfigError, DataError, TopologyError
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
@@ -50,14 +50,33 @@ class Key:
 
 _POSITIVE, _NONNEGATIVE, _COUNT, _UNIT = "(0, inf)", "[0, inf)", "[1, inf)", "(0, 1]"
 
+_SAMPLES = ("objective.samples_per_node", "objective.batch_size", "objective.partition_mode", "objective.dataset_path")
+# each topology.kind and objective.kind and the keys its build reads besides topology.n
+# and objective.d, as compress.KINDS and schedule.THRESHOLD_KINDS are for their kinds
+READS: dict[str, dict[str, tuple[str, ...]]] = {
+    "topology.kind": {
+        "ring": ("topology.self_weight",),
+        "complete": (),
+        "custom": ("topology.edges", "topology.edge_weights", "topology.self_weights"),
+    },
+    "objective.kind": {
+        "quadratic": ("objective.noise_sigma", "objective.mu", "objective.L", "objective.hetero_scale"),
+        "least_squares": _SAMPLES,
+        "least_squares_nonconvex": (*_SAMPLES, "objective.alpha"),
+        "logistic_l2": (*_SAMPLES, "objective.l2_reg"),
+    },
+}
+# keys refused if set with an objective.kind that does not read them, as they would be misread; and who reads them
+_MISREAD = {"objective.dataset_path": "a sample-based", "objective.noise_sigma": "the quadratic"}
+
 KEYS: dict[str, Key] = {
-    "topology.kind": Key(str, "ring", ("ring", "complete", "custom")),
+    "topology.kind": Key(str, "ring", tuple(READS["topology.kind"])),
     "topology.n": Key(int, 8, _COUNT),
     "topology.self_weight": Key(float, 1.0 / 3.0),
     "topology.edges": Key(list),
     "topology.edge_weights": Key(list),
     "topology.self_weights": Key(list),
-    "objective.kind": Key(str, "quadratic", ("quadratic", "least_squares", "least_squares_nonconvex", "logistic_l2")),
+    "objective.kind": Key(str, "quadratic", tuple(READS["objective.kind"])),
     "objective.d": Key(int, 20, _COUNT),
     "objective.noise_sigma": Key(float, 0.0, _NONNEGATIVE),
     "objective.mu": Key(float, 1.0, _POSITIVE),
@@ -69,7 +88,7 @@ KEYS: dict[str, Key] = {
     "objective.l2_reg": Key(float, 0.01, _NONNEGATIVE),
     "objective.partition_mode": Key(str, "iid", ("iid", "sorted_by_label")),
     "objective.dataset_path": Key(str),
-    "compressor.kind": Key(str, "identity", KINDS),
+    "compressor.kind": Key(str, "identity", tuple(KINDS)),
     "compressor.k": Key(int, UNSET, _COUNT),
     "compressor.k_frac": Key(float, UNSET, _UNIT),
     "compressor.s": Key(int, UNSET, _COUNT),
@@ -251,8 +270,6 @@ def _reused(memo: dict, keys: tuple[str, ...], flat: dict, build, hold: bool = T
     return built
 
 
-# the keys a graph is built from: equal values build bitwise-equal graphs
-_TOPOLOGY_KEYS = tuple(key for key in KEYS if key.startswith("topology."))
 # the last graph built from a config, under its key: at most one entry
 _last_topology: dict[tuple, MixingMatrix] = {}
 
@@ -262,7 +279,8 @@ def _build_topology(flat: dict) -> MixingMatrix:
     is unchanged, so a sweep over T, H or the compressor builds it once. A
     built graph is frozen with a read-only w, so the runs that share it
     cannot change it."""
-    return _reused(_last_topology, _TOPOLOGY_KEYS, flat, _new_topology)
+    keys = ("topology.n", "topology.kind", *READS["topology.kind"][flat["topology.kind"]])
+    return _reused(_last_topology, keys, flat, _new_topology)
 
 
 def _new_topology(flat: dict) -> MixingMatrix:
@@ -303,8 +321,6 @@ def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))  # two reductions, no copy of a
 
 
-# the keys an objective is built from: equal values build bitwise-equal objectives
-_OBJECTIVE_KEYS = ("seed", "topology.n", *(key for key in KEYS if key.startswith("objective.")))
 # the last objective built from a config, under its key: at most one entry
 _last_objective: dict[tuple, obj_ops.ObjectiveSet] = {}
 
@@ -313,8 +329,15 @@ def _build_objective(flat: dict) -> obj_ops.ObjectiveSet:
     """The objective flat describes, its arrays read-only so that the runs
     that share it cannot change it; the one built last is reused while the
     key is unchanged, so a sweep over T, H or the compressor builds it once.
-    One read from a dataset file is never reused: the file can change."""
-    return _reused(_last_objective, _OBJECTIVE_KEYS, flat, _read_only_objective, not flat["objective.dataset_path"])
+    One read from a dataset file is never reused: the file can change. A
+    _MISREAD key is refused before the lookup, so that a hit cannot skip it."""
+    kind = flat["objective.kind"]
+    reads = READS["objective.kind"][kind]
+    for key, readers in _MISREAD.items():
+        if flat[key] and key not in reads:
+            raise ConfigError(f"{key}: only {readers} objective.kind reads one, got {kind!r}")
+    keys = ("seed", "topology.n", "objective.kind", "objective.d", *reads)
+    return _reused(_last_objective, keys, flat, _read_only_objective, not flat["objective.dataset_path"])
 
 
 def _read_only_objective(flat: dict) -> obj_ops.ObjectiveSet:
@@ -331,10 +354,6 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
     n = flat["topology.n"]
     d = flat["objective.d"]
     path = flat["objective.dataset_path"]
-    if path and kind == "quadratic":
-        raise ConfigError(f"objective.dataset_path: only a sample-based objective.kind reads one, got {kind!r}")
-    if flat["objective.noise_sigma"] and kind != "quadratic":  # a sample kind's noise is its minibatch
-        raise ConfigError(f"objective.noise_sigma: only the quadratic objective.kind reads one, got {kind!r}")
     if not path:
         _fits(flat, "objective.d", d * d)  # the curvature matrix, or the smoothness estimate's
     if kind == "quadratic":
@@ -373,35 +392,27 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
                 shards = obj_ops.partition_heterogeneous(features, targets, n, flat["objective.partition_mode"], rng)
             else:
                 shards = obj_ops.synthetic_shards(kind, n, d, samples, rng)
-            obj = obj_ops.from_shards(
-                kind,
-                *shards,
-                batch_size=flat["objective.batch_size"],
-                alpha=flat["objective.alpha"],
-                l2_reg=flat["objective.l2_reg"],
-            )
+            # a regularizer the kind does not read stays at 0, so the held objective is its key's
+            regularizers = {name: flat[f"objective.{name}"] for name in ("alpha", "l2_reg")
+                            if f"objective.{name}" in READS["objective.kind"][kind]}
+            obj = obj_ops.from_shards(kind, *shards, batch_size=flat["objective.batch_size"], **regularizers)
             if path and not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
                 raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
     except DataError as exc:  # only a dataset file raises it
         raise ConfigError(f"objective.dataset_path: {exc}") from None
+    _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     return obj
 
 
 def _build_compressor(flat: dict, d: int) -> CompressorSpec:
+    """The compressor flat describes, with None for each count its kind does not read."""
     kind = flat["compressor.kind"]
-    k = flat["compressor.k"]
-    if k is None and flat["compressor.k_frac"] is not None:
-        k = max(1, round(flat["compressor.k_frac"] * d))
-    if k is None and kind in SPARSE_KINDS:
-        _require(flat, "compressor.k")
-    if k is not None and k > d:
-        raise ConfigError(f"compressor.k: k={k} exceeds dimension d={d}")
-    return CompressorSpec(
-        kind=kind,
-        k=k,
-        s=_require(flat, "compressor.s") if kind in QUANT_KINDS else flat["compressor.s"],
-        value_bits=flat["compressor.value_bits"],
-    )
+    if flat["compressor.k"] is None and flat["compressor.k_frac"] is not None:
+        flat = flat | {"compressor.k": max(1, round(flat["compressor.k_frac"] * d))}
+    counts = {name: _require(flat, f"compressor.{name}") for name in KINDS[kind]}
+    if counts.get("k", 0) > d:
+        raise ConfigError(f"compressor.k: k={counts['k']} exceeds dimension d={d}")
+    return CompressorSpec(kind=kind, value_bits=flat["compressor.value_bits"], **counts)
 
 
 def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int) -> float:
@@ -434,7 +445,9 @@ def _resolve_lr(
     beta = flat["beta"]
     n, T, H = flat["topology.n"], flat["T"], flat["H"]
     if kind == "constant":
-        return sched.LrSchedule(kind="constant", eta=_require(flat, "lr.eta"))
+        lr = sched.LrSchedule(kind="constant", eta=_require(flat, "lr.eta"))
+        _warn_unstable(obj, lr.eta, beta, "lr.eta", warnings)
+        return lr
     if kind == "auto_constant":
         eta = sched.constant_lr(n, T, beta)
         min_T = sched.min_T_nonconvex(obj.L, n, beta)
@@ -446,9 +459,12 @@ def _resolve_lr(
         lr = sched.LrSchedule(kind="decaying", b=_require(flat, "lr.b"), a=_require(flat, "lr.a"))
         if lr.a < 5 * H / p:  # auto_decaying warns against its a_min, which includes 5H/p
             warnings.append("lr.a below 5H/p; the step-size ratio eta_t <= 2 eta_{t+H} may fail")
+        _warn_unstable(obj, lr.b / lr.a, beta, "lr.b", warnings)
         return lr
-    # an objective that is not strongly convex leaves mu to the config
-    mu_key = "lr.mu" if flat["lr.mu"] is not None or obj.mu <= 0 else _MU_KEYS[obj.kind]
+    # an objective that is not strongly convex leaves mu to the config; one that is sets
+    # it by objective.mu or objective.l2_reg, whichever its kind reads
+    set_by = [key for key in ("objective.mu", "objective.l2_reg") if key in READS["objective.kind"][obj.kind]]
+    mu_key = "lr.mu" if flat["lr.mu"] is not None or obj.mu <= 0 else set_by[0]
     mu = _require(flat, "lr.mu") if mu_key == "lr.mu" else obj.mu
     if not math.isfinite(16.0 * (1.0 - beta) / mu):  # decaying_schedule's b
         raise ConfigError(
@@ -464,14 +480,24 @@ def _resolve_lr(
     return sched.decaying_schedule(mu, beta, a)
 
 
-# the key that sets obj.mu, for the kinds whose built objective has mu > 0
-_MU_KEYS = {"quadratic": "objective.mu", "logistic_l2": "objective.l2_reg"}
+def _warn_unstable(obj: obj_ops.ObjectiveSet, eta: float, beta: float, key: str, warnings: list[str]) -> None:
+    """Warn if a quadratic's momentum step at step size eta diverges: where
+    eta L >= 2 (1 + beta) / (1 + 2 beta), the step's 2x2 mode matrix at the
+    largest curvature L has a root at -1. The auto kinds need no check: a T
+    or an a at or above its admissibility minimum keeps eta L <= 1/4, and
+    one below it already warns."""
+    limit = 2.0 * (1.0 + beta) / (1.0 + 2.0 * beta)
+    if obj.kind == "quadratic" and eta * obj.L >= limit:
+        warnings.append(
+            f"{key}: the momentum step's stability limit 2 (1 + beta) / (1 + 2 beta) = {limit:.4g} is at or"
+            f" below eta_0 L{_shown(eta * obj.L, '.4g')}; the quadratic objective's run can diverge"
+        )
 
 
-def _shown(minimum: float, spec: str) -> str:
-    """An admissibility minimum for a warning: ' ' and its digits, or a note
-    that it overflows a float."""
-    return f" {minimum:{spec}}" if math.isfinite(minimum) else ", which overflows a float"
+def _shown(value: float, spec: str) -> str:
+    """A number for a warning, such as an admissibility minimum: ' ' and its
+    digits, or a note that it overflows a float."""
+    return f" {value:{spec}}" if math.isfinite(value) else ", which overflows a float"
 
 
 def _build_threshold(flat: dict) -> sched.ThresholdSchedule:
@@ -488,7 +514,6 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     warnings: list[str] = []
     topo = _build_topology(flat)
     obj = _build_objective(flat)
-    _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     comp = _build_compressor(flat, obj.d)
     gamma = _resolve_gamma(flat, topo, comp, obj.d)
     lr = _resolve_lr(flat, obj, topo, gamma, warnings)

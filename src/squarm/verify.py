@@ -58,10 +58,10 @@ def _measured(name: str, m: Measure) -> Check:
 
 
 def compressor_at(kind: str, d: int) -> comp.CompressorSpec:
-    """The compressor of this kind that the checks use at dimension d."""
-    k = {"top_k": d // 4, "rand_k": d // 2, "sign_top_k": d // 10, "qsgd_top_k": d // 4}.get(kind)
-    s = {"qsgd": int(np.ceil(np.sqrt(d))) + 1, "qsgd_top_k": 4}.get(kind)
-    return comp.CompressorSpec(kind, k=None if k is None else max(1, k), s=s)
+    """The compressor of this kind that the checks use at dimension d, with the counts its kind reads."""
+    counts = {"k": max(1, d // 2 if kind == "rand_k" else d // 10 if kind == "sign_top_k" else d // 4),
+              "s": 4 if kind == "qsgd_top_k" else int(np.ceil(np.sqrt(d))) + 1}
+    return comp.CompressorSpec(kind, **{name: counts[name] for name in comp.KINDS[kind]})
 
 
 def contraction(spec: comp.CompressorSpec, d: int, trials: int, rng: np.random.Generator) -> Measure:

@@ -17,6 +17,8 @@ from squarm.engine import Diagnostics, run
 from test_config_properties import bounds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+UNSTABLE = ("warning: {key}: the momentum step's stability limit 2 (1 + beta) / (1 + 2 beta) = {limit} is at or"
+            " below eta_0 L {eta_L}; the quadratic objective's run can diverge")
 # `python -c PEAK_RSS_WRAPPER PATH ARGS...` runs `squarm ARGS...` and, however
 # it ends, writes the VmHWM line of its own /proc/self/status to PATH
 PEAK_RSS_WRAPPER = """
@@ -447,6 +449,21 @@ class TestRun:
             assert flag[2:].partition("=")[0] in err and "Traceback" not in err, (flag, err)
 
 
+    @pytest.mark.parametrize("flags", [[], ["--compressor.kind=qsgd", "--compressor.s=2"],
+                                       ["--compressor.kind=scaled_sign"]], ids=["identity", "qsgd", "scaled_sign"])
+    def test_a_k_that_the_kind_does_not_read_is_ignored(self, tmp_path, flags):
+        # d = 20: k = 50 would be refused as past d by a kind that reads k
+        outputs = []
+        for k_flags in ([], ["--compressor.k=5"], ["--compressor.k=50"]):
+            out = tmp_path / str(len(outputs))
+            assert main(["run", "--out", str(out), "--T=3", *flags, *k_flags]) == 0, k_flags
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[1:] == outputs[:1] * 2
+
+    def test_a_k_past_d_is_refused_for_a_kind_that_reads_k(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path), "--T=3", "--compressor.kind=top_k", "--compressor.k=50"]) == 2
+        assert capsys.readouterr().err == "error: compressor.k: k=50 exceeds dimension d=20\n"
+
     @pytest.mark.parametrize(
         "flag, message",
         [
@@ -474,7 +491,21 @@ class TestRun:
     )
     def test_lr_a_below_its_minimum_warns_once(self, tmp_path, capsys, flags, warning):
         assert main(["run", "--out", str(tmp_path), "--T=5", *flags]) == 0
-        assert capsys.readouterr().err == f"warning: {warning}\n"
+        # the decaying eta_0 L = b L / a = 5 is also at or above the stability limit 2 at beta = 0
+        unstable = [UNSTABLE.format(key="lr.b", eta_L="5", limit="2")] if "--lr.kind=decaying" in flags else []
+        assert capsys.readouterr().err.splitlines() == [f"warning: {warning}", *unstable]
+
+    @pytest.mark.parametrize("eta, warns", [("0.13843", True), ("0.13296", False)], ids=["1.02x", "0.98x"])
+    def test_an_eta_past_the_momentum_stability_limit_warns(self, tmp_path, capsys, eta, warns):
+        # beta = 0.9 and L = 10: the limit on eta L is 2 (1 + beta) / (1 + 2 beta) = 1.357
+        flags = ["--beta=0.9", "--threshold.kind=never", "--objective.noise_sigma=0.1", "--x0_scale=1", "--seed=1",
+                 "--lr.kind=constant", f"--lr.eta={eta}"]
+        assert main(["run", "--out", str(tmp_path), "--T=3000", *flags]) == 0
+        loss = float(capsys.readouterr().out.split()[2].partition("=")[2])
+        assert main(["run", "--out", str(tmp_path), "--T=3", *flags]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([UNSTABLE.format(key="lr.eta", eta_L="1.384", limit="1.357")] if warns else [])
+        assert (loss > 1e100) == warns  # the warned run blows up, the other converges
 
     @pytest.mark.parametrize(
         "flags, warning",
@@ -616,13 +647,18 @@ class TestSweep:
         assert main(args) == 0
         assert dead == [[], [True], [True, True]]
 
-    @pytest.mark.parametrize("flags", [[], ["--compressor.kind=qsgd", "--compressor.s=2"],
-                                       ["--compressor.kind=scaled_sign"]], ids=["identity", "qsgd", "scaled_sign"])
-    def test_k_axis_of_a_kind_that_reads_no_k_exits_2_before_running(self, tmp_path, capsys, monkeypatch, flags):
+    @pytest.mark.parametrize(
+        "flags, kind",
+        [([], "identity"), (["--compressor.kind=qsgd", "--compressor.s=2"], "qsgd"),
+         (["--compressor.kind=scaled_sign"], "scaled_sign"),
+         # the sweep sees the flags before they are checked: no kind at all, or not even hashable
+         (["--compressor.kind=bogus"], "bogus"), (["--compressor.kind=[1]"], [1])],
+        ids=["identity", "qsgd", "scaled_sign", "bogus", "unhashable"],
+    )
+    def test_k_axis_of_a_kind_that_reads_no_k_exits_2_before_running(self, tmp_path, capsys, monkeypatch, flags, kind):
         monkeypatch.setattr("squarm.cli.build_run_config", lambda flat: pytest.fail("a point started"))
         out = tmp_path / "sweep"
         assert main(["sweep", "--axis", "k", "--values", "1,2", "--T=3", *flags, "--out", str(out)]) == 2
-        kind = flags[0].partition("=")[2] if flags else "identity"
         err = capsys.readouterr().err
         assert err == (f"error: --axis k: compressor.kind {kind!r} reads no k"
                        " (the kinds that do: top_k, rand_k, sign_top_k, qsgd_top_k)\n")

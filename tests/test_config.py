@@ -2,9 +2,10 @@
 
 build_run_config lays any flat config over KEYS' defaults and refuses a key
 not in KEYS, as merged does. A config reuses the graph the previous one
-built while every topology key is unchanged, and the objective the previous
-one built while the seed, the node count and every objective key are
-unchanged; every config-built objective is read-only."""
+built while the node count, the graph's kind and the keys READS says that
+kind reads are unchanged, and the objective the previous one built while the
+seed, the node count, the objective's kind, its dimension and the keys that
+kind reads are unchanged; every config-built objective is read-only."""
 
 import re
 
@@ -13,7 +14,7 @@ import pytest
 
 from squarm import config
 from squarm.cli import main
-from squarm.config import KEYS, build_run_config, merged
+from squarm.config import KEYS, READS, build_run_config, merged
 from squarm.engine import metrics_csv, run, summary_json
 from squarm.errors import ConfigError
 
@@ -67,13 +68,16 @@ class TestObjectiveMemo:
     @pytest.mark.parametrize("kind", ["quadratic", *SAMPLE_KINDS])
     def test_a_hit_is_bitwise_a_fresh_build(self, kind):
         hit = objective(**{"objective.kind": kind})
-        assert objective(**{"objective.kind": kind}) is hit
+        # a regularizer the kind does not read is no part of the held objective either
+        unread = {"objective.l2_reg" if kind == "least_squares_nonconvex" else "objective.alpha": 0.3}
+        assert objective(**{"objective.kind": kind} | unread) is hit
         config._last_objective.clear()
-        fresh = objective(**{"objective.kind": kind})
+        fresh = objective(**{"objective.kind": kind} | unread)
         assert fresh is not hit
         assert as_bytes(hit) == as_bytes(fresh)
 
-    # one changed value for every key the objective is built from
+    # one changed value for every key the objective is built from, each set on the
+    # first kind that reads it
     CHANGED = {
         "seed": 4,
         "topology.n": 5,
@@ -92,15 +96,32 @@ class TestObjectiveMemo:
 
     def test_every_objective_key_is_changed_below(self):
         # a dataset objective is never held: test_a_dataset_objective_reads_its_file_again
-        keys = {key for key in KEYS if key.startswith("objective.")} - {"objective.dataset_path"}
-        assert keys <= set(self.CHANGED)
+        read = {key for keys in READS["objective.kind"].values() for key in keys} - {"objective.dataset_path"}
+        assert {"seed", "topology.n", "objective.kind", "objective.d"} | read == set(self.CHANGED)
 
     @pytest.mark.parametrize("key, value", list(CHANGED.items()) + [("objective.noise_sigma", -0.0)])
     def test_a_changed_key_value_rebuilds(self, key, value):
-        first = objective()
-        changed = objective(**{key: value})
+        base = {"objective.kind": next((kind for kind, keys in READS["objective.kind"].items() if key in keys),
+                                       "quadratic")}
+        first = objective(**base)
+        changed = objective(**base | {key: value})
         assert changed is not first
-        assert objective() is not changed  # and changing it back rebuilds again
+        assert objective(**base) is not changed  # and changing it back rebuilds again
+
+    @pytest.mark.parametrize("kind, key, value", [("quadratic", "objective.alpha", 0.2),
+                                                  ("quadratic", "objective.batch_size", 2),
+                                                  ("least_squares", "objective.l2_reg", 0.02),
+                                                  ("logistic_l2", "objective.mu", 0.5)])
+    def test_a_key_the_kind_does_not_read_keeps_the_held_object(self, kind, key, value):
+        first = objective(**{"objective.kind": kind})
+        assert objective(**{"objective.kind": kind, key: value}) is first
+
+    @pytest.mark.parametrize("kind, key, value", [("quadratic", "objective.dataset_path", "data.csv"),
+                                                  ("least_squares", "objective.noise_sigma", 0.1)])
+    def test_a_misread_key_is_refused_on_a_hit_too(self, kind, key, value):
+        objective(**{"objective.kind": kind})
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: only")):
+            objective(**{"objective.kind": kind, key: value})
 
     def test_only_the_last_objective_is_held(self):
         objective()
@@ -182,7 +203,15 @@ class TestTopologyMemo:
     }
 
     def test_every_topology_key_is_changed_below(self):
-        assert {key for _, key, _ in self.CHANGED.values()} == {key for key in KEYS if key.startswith("topology.")}
+        read = {key for keys in READS["topology.kind"].values() for key in keys}
+        assert {key for _, key, _ in self.CHANGED.values()} == {"topology.n", "topology.kind"} | read
+
+    @pytest.mark.parametrize("base, key, value", [({}, "topology.edges", CUSTOM["topology.edges"]),
+                                                  ({"topology.kind": "complete"}, "topology.self_weight", 0.5)],
+                                                  ids=["ring-edges", "complete-self_weight"])
+    def test_a_key_the_kind_does_not_read_keeps_the_held_graph(self, base, key, value):
+        first = graph(**base)
+        assert graph(**base | {key: value}) is first
 
     @pytest.mark.parametrize("base, key, value", CHANGED.values(), ids=CHANGED)
     def test_a_changed_key_value_rebuilds(self, base, key, value):

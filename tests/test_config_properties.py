@@ -1,16 +1,20 @@
 """Property tests over squarm.config.KEYS: whatever a flat config holds, it
 resolves or is refused with a ConfigError, and `squarm run` never ends in a
-traceback."""
+traceback. A key that the chosen kind does not read changes no output."""
 
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from squarm.cli import main
-from squarm.config import KEYS, UNSET, build_run_config, merged
+from squarm.compress import KINDS
+from squarm.config import _MISREAD, KEYS, READS, UNSET, build_run_config, merged
+from squarm.engine import metrics_csv, run, summary_json
 from squarm.errors import ConfigError
+from squarm.schedule import THRESHOLD_KINDS
 
 # sizes that allocate (n x n, d x d, n x samples x d and batch x d arrays) stay small
 SIZES = {"topology.n": 6, "objective.d": 6, "objective.samples_per_node": 6, "objective.batch_size": 6}
@@ -23,15 +27,15 @@ def bounds(interval):
     return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"
 
 
-def in_range(key, spec):
+def in_range(key, spec, sizes=SIZES):
     if isinstance(spec.valid, tuple):
         return st.sampled_from(spec.valid)
     if spec.type is bool:
         return st.booleans()
     if spec.type is int:
         lo = int(bounds(spec.valid)[0])
-        huge = [SIZES[key]] if key in SIZES else [2**64, 10**300]
-        return st.integers(lo, SIZES.get(key, lo + 20)) | st.sampled_from(huge)
+        huge = [sizes[key]] if key in sizes else [2**64, 10**300]
+        return st.integers(lo, sizes.get(key, lo + 20)) | st.sampled_from(huge)
     if spec.type is float:
         lo, hi, lo_open, hi_open = bounds(spec.valid or "(-inf, inf)")
         return st.floats(
@@ -95,3 +99,61 @@ def test_any_run_argv_exits_0_1_or_2(tmp_path, layer, T):
     # in process, an exception escaping main is what prints a traceback
     flags = [f"--{key}={json.dumps(v)}" for key, v in {**layer, "T": T}.items()]
     assert main(["run", "--out", str(tmp_path), *flags]) in (0, 1, 2)
+
+
+# each tabled kind key: its kinds, and the keys of its group that each kind reads
+READ_KEYS = READS | {
+    "compressor.kind": {
+        kind: tuple(f"compressor.{name}" for name in counts) + (("compressor.k_frac",) if "k" in counts else ())
+        for kind, counts in KINDS.items()
+    },
+    "threshold.kind": {kind: tuple(f"threshold.{name}" for name in fields) for kind, fields in THRESHOLD_KINDS.items()},
+}
+# every (kind key, kind, key of its group that this kind does not read)
+UNREAD = [
+    (kind_key, kind, key)
+    for kind_key, table in READ_KEYS.items()
+    for kind, reads in table.items()
+    for key in sorted(set().union(*table.values()) - set(reads))
+]
+# small sizes, and every key that some kind requires, on a four-node cycle
+EVERY_KIND = {
+    "topology.n": 4, "objective.d": 6, "objective.samples_per_node": 5, "T": 6, "seed": 1,
+    "lr.kind": "constant", "lr.eta": 0.05, "compressor.k": 2, "compressor.s": 3,
+    "threshold.c0": 1.0, "threshold.epsilon": 0.5, "threshold.init": 0.1, "threshold.step": 0.1, "threshold.period": 2,
+    "topology.edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "topology.edge_weights": [0.25] * 4,
+    "topology.self_weights": [0.5] * 4,
+}
+
+
+def outcome(flat):
+    """A run's outputs apart from its config echo, or the ConfigError that refused it."""
+    try:
+        cfg, warnings = build_run_config(flat)
+    except ConfigError as exc:
+        return str(exc)
+    result = run(cfg)
+    summary = json.loads(summary_json(result))
+    del summary["config"]
+    return metrics_csv(result), summary, warnings
+
+
+def unread_values(key):
+    # the kind sizes nothing from the key, so its values are not capped; a
+    # _MISREAD key is only refused if set, so it is drawn set
+    values = in_range(key, KEYS[key], sizes={})
+    return values.filter(bool) if key in _MISREAD else values
+
+
+@pytest.mark.parametrize("kind_key, kind, key", UNREAD, ids=[f"{kind}-{key}" for _, kind, key in UNREAD])
+def test_a_key_the_kind_does_not_read_changes_no_output(kind_key, kind, key):
+    # both values in one process: the second build of the graph or the objective is a memo hit
+    @settings(max_examples=5, derandomize=True, deadline=None, database=None)
+    @given(unread_values(key), unread_values(key))
+    def check(first, second):
+        outcomes = [outcome(merged(EVERY_KIND, {kind_key: kind, key: value})) for value in (first, second)]
+        assert outcomes[0] == outcomes[1]
+        if key in _MISREAD:
+            assert outcomes[0].startswith(f"{key}: ")
+
+    check()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory, node_average_trajectory
-from squarm.compress import KINDS, CompressorSpec, bit_cost, decode
+from squarm.compress import CompressorSpec, bit_cost, decode
 from squarm.config import KEYS, build_run_config, merged, seed_streams
 from squarm.engine import (
     RunConfig,
@@ -461,7 +461,9 @@ def assert_matches_reference(cfg: RunConfig):
 
 
 @st.composite
-def drawn_configs(draw, objective_kinds=KEYS["objective.kind"].valid, compressors=KINDS, clip=True):
+def drawn_configs(
+    draw, objective_kinds=KEYS["objective.kind"].valid, compressors=KEYS["compressor.kind"].valid, clip=True
+):
     """Small runs over every compressor, threshold, variant, accounting,
     step-size kind, objective kind and graph kind (or the given objective
     and compressor kinds; clip=False leaves gradients unclipped). Gradient
