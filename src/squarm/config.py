@@ -15,7 +15,8 @@ refused with the same errors as a config file and defaults like one.
 build_run_config keeps the last graph and the last objective it built and
 hands the same object to the next config with an equal key (_reused): the
 kind, topology.n, for the objective also the seed and objective.d, and the
-keys READS says the kind reads, each compared by repr. A hit is bitwise a
+keys READS says the kind reads (but objective.partition_mode, which only a
+dataset build reads), each compared by repr. A hit is bitwise a
 fresh build, and both are read-only, so runs share them without a copy.
 The last of each stays in memory after a run (128 MB of dense w for a ring
 at n=4096); a sweep over T, H or k builds both once, an n sweep rebuilds
@@ -329,14 +330,16 @@ def _build_objective(flat: dict) -> obj_ops.ObjectiveSet:
     """The objective flat describes, its arrays read-only so that the runs
     that share it cannot change it; the one built last is reused while the
     key is unchanged, so a sweep over T, H or the compressor builds it once.
-    One read from a dataset file is never reused: the file can change. A
-    _MISREAD key is refused before the lookup, so that a hit cannot skip it."""
+    One read from a dataset file is never reused: the file can change, so
+    objective.partition_mode, which only such a build reads, is no part of the
+    key. A _MISREAD key is refused before the lookup, so that a hit cannot
+    skip it."""
     kind = flat["objective.kind"]
     reads = READS["objective.kind"][kind]
     for key, readers in _MISREAD.items():
         if flat[key] and key not in reads:
             raise ConfigError(f"{key}: only {readers} objective.kind reads one, got {kind!r}")
-    keys = ("seed", "topology.n", "objective.kind", "objective.d", *reads)
+    keys = ("seed", "topology.n", "objective.kind", "objective.d", *(k for k in reads if k != "objective.partition_mode"))
     return _reused(_last_objective, keys, flat, _read_only_objective, not flat["objective.dataset_path"])
 
 

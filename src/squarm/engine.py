@@ -13,11 +13,12 @@ With diagnostics on, each run verifies two algebraic identities online:
                       average is unchanged by the consensus step at every
                       synchronization index (inf-norm deviation < 1e-10);
 
-  virtual sequence    for constant eta, the shifted average
-                      xt = xbar - (eta beta^2 / (1 - beta)) vbar
-                      satisfies xt^{t+1} = xt^t - eta/((1-beta) n) sum_i g_i
+  virtual sequence    for any step-size schedule, with c_t = eta_t beta^2 /
+                      (1 - beta), the shifted averages satisfy
+                      xbar^{t+1} - c_t vbar^t
+                        = xbar^t - c_t vbar^{t-1} - eta_t/((1-beta) n) sum_i g_i
                       exactly, whatever the compressor or trigger pattern
-                      did (inf-norm defect < 1e-8);
+                      did, where vbar^{-1} = 0 (inf-norm defect < 1e-8);
 
 plus two protocol facts: every non-triggering node's copy drift is within
 its threshold, with every node's drift taken at once by one stacked product
@@ -96,7 +97,7 @@ class MetricsRow:
     bits_cum: int
     messages: int
     triggers: int
-    virtual_residual: float | None = None  # constant step sizes with diagnostics on
+    virtual_residual: float | None = None  # diagnostics on
     weighted_avg_loss: float | None = None  # decaying step sizes
 
 
@@ -131,22 +132,19 @@ def initial_positions(x0_rng: np.random.Generator, n: int, d: int, scale: float)
 
 
 def virtual_residual(
-    x_tilde_prev: np.ndarray,
-    x_bar_new: np.ndarray,
-    v_bar_new: np.ndarray,
-    g_bar: np.ndarray,
-    eta: float,
-    beta: float,
-) -> tuple[float, np.ndarray]:
-    """Advance the virtual sequence one step and return (defect, new x_tilde).
+    x_bar_prev: np.ndarray, v_bar_prev: np.ndarray, x_bar_new: np.ndarray, v_bar_new: np.ndarray,
+    g_bar: np.ndarray, eta: float, beta: float,
+) -> float:
+    """The inf-norm defect of one step of the virtual-sequence recurrence.
 
-    The defect is the inf-norm distance between the measured
-    xt^{t+1} = xbar^{t+1} - eta beta^2/(1-beta) vbar^t and the value the
-    recurrence predicts from xt^t and the mean stochastic gradient.
+    Both sides use this step's eta, so the recurrence holds for any
+    schedule: with c = eta beta^2/(1-beta), the measured
+    xbar^{t+1} - c vbar^t against the value predicted from
+    xbar^t - c vbar^{t-1} and the mean stochastic gradient.
     """
-    x_tilde_new = x_bar_new - (eta * beta**2 / (1.0 - beta)) * v_bar_new
-    predicted = x_tilde_prev - (eta / (1.0 - beta)) * g_bar
-    return float(np.abs(x_tilde_new - predicted).max()), x_tilde_new
+    c = eta * beta**2 / (1.0 - beta)
+    predicted = (x_bar_prev - c * v_bar_prev) - (eta / (1.0 - beta)) * g_bar
+    return float(np.abs((x_bar_new - c * v_bar_new) - predicted).max())
 
 
 # overflow on the way to a divergence is detected by the run loop, not warned about
@@ -223,7 +221,7 @@ def run(cfg: RunConfig) -> RunResult:
     wavg_sum = 0.0
 
     x_bar = X.mean(axis=0)  # the node average of X as it stands
-    x_tilde = x_bar  # v^{-1} = 0, so xt^0 = xbar^0
+    v_bar = np.zeros(d)  # the node average of V after the last checked step; v^{-1} = 0
     vres_since_eval = 0.0
 
     def metrics_row(t: int, grads: np.ndarray | None) -> MetricsRow:
@@ -241,7 +239,7 @@ def run(cfg: RunConfig) -> RunResult:
             bits_cum=bits_cum,
             messages=messages,
             triggers=triggers,
-            virtual_residual=vres_since_eval if cfg.diagnostics and not decaying else None,
+            virtual_residual=vres_since_eval if cfg.diagnostics else None,
             weighted_avg_loss=obj_ops.loss(obj, wavg_acc / wavg_sum) if decaying else None,
         )
 
@@ -260,6 +258,7 @@ def run(cfg: RunConfig) -> RunResult:
     exact = obj_ops.shared_curvature_grads(obj, X)
     for t in range(cfg.T):
         eta = eta_at(cfg.lr, t)
+        x_bar_start = x_bar
 
         if decaying:
             w_t = weighted_avg_weight(cfg.lr.a, t)
@@ -298,8 +297,9 @@ def run(cfg: RunConfig) -> RunResult:
         # serves the next step's gradients and this step's metrics row
         exact = obj_ops.shared_curvature_grads(obj, X)
 
-        if cfg.diagnostics and not decaying:
-            defect, x_tilde = virtual_residual(x_tilde, x_bar, V.mean(axis=0), G.mean(axis=0), eta, cfg.beta)
+        if cfg.diagnostics:
+            v_bar_start, v_bar = v_bar, V.mean(axis=0)
+            defect = virtual_residual(x_bar_start, v_bar_start, x_bar, v_bar, G.mean(axis=0), eta, cfg.beta)
             diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
             vres_since_eval = max(vres_since_eval, defect)
 

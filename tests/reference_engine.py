@@ -172,7 +172,6 @@ def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
     nodes, node_rngs = make_nodes(cfg, cfg.variant)
 
     eval_every = cfg.eval_every if cfg.eval_every else max(1, cfg.T // 200)
-    constant_lr = cfg.lr.kind == "constant"
     decaying = cfg.lr.kind == "decaying"
 
     bits_cum = 0
@@ -185,7 +184,7 @@ def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
     wavg_acc = np.zeros(d) if decaying else None
     wavg_sum = 0.0
 
-    x_tilde = None
+    v_bar = np.zeros(d)  # v^{-1} = 0
     vres_since_eval = 0.0
 
     def x_bar_now() -> np.ndarray:
@@ -202,8 +201,7 @@ def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
             wavg_acc += w_t * x_bar_now()
             wavg_sum += w_t
 
-        if cfg.diagnostics and constant_lr and x_tilde is None:
-            x_tilde = x_bar_now()
+        x_bar_start = x_bar_now() if cfg.diagnostics else None
 
         grads = []
         for st, rng in zip(nodes, node_rngs):
@@ -249,16 +247,16 @@ def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
                     diag.max_mean_dev, mean_preservation_check(x_bar_half, x_bar_now())
                 )
 
-        if cfg.diagnostics and constant_lr:
+        if cfg.diagnostics:
             g_bar = np.zeros(d)
             for g in grads:
                 g_bar += g
             g_bar /= n
-            v_bar = np.zeros(d)
+            v_bar_start, v_bar = v_bar, np.zeros(d)
             for st in nodes:
                 v_bar += st.v
             v_bar /= n
-            defect, x_tilde = virtual_residual(x_tilde, x_bar_now(), v_bar, g_bar, eta, cfg.beta)
+            defect = virtual_residual(x_bar_start, v_bar_start, x_bar_now(), v_bar, g_bar, eta, cfg.beta)
             diag.max_virtual_residual = max(diag.max_virtual_residual, defect)
             vres_since_eval = max(vres_since_eval, defect)
 
@@ -280,7 +278,7 @@ def run(cfg: RunConfig) -> tuple[RunResult, list[np.ndarray]]:
                 bits_cum=bits_cum,
                 messages=messages,
                 triggers=triggers,
-                virtual_residual=vres_since_eval if cfg.diagnostics and constant_lr else None,
+                virtual_residual=vres_since_eval if cfg.diagnostics else None,
                 weighted_avg_loss=wavg_loss,
             )
             vres_since_eval = 0.0

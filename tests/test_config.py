@@ -91,12 +91,13 @@ class TestObjectiveMemo:
         "objective.batch_size": 2,
         "objective.alpha": 0.2,
         "objective.l2_reg": 0.02,
-        "objective.partition_mode": "sorted_by_label",
     }
 
     def test_every_objective_key_is_changed_below(self):
-        # a dataset objective is never held: test_a_dataset_objective_reads_its_file_again
-        read = {key for keys in READS["objective.kind"].values() for key in keys} - {"objective.dataset_path"}
+        # a dataset objective is never held (test_a_dataset_objective_reads_its_file_again),
+        # and only a dataset build reads partition_mode
+        unkeyed = {"objective.dataset_path", "objective.partition_mode"}
+        read = {key for keys in READS["objective.kind"].values() for key in keys} - unkeyed
         assert {"seed", "topology.n", "objective.kind", "objective.d"} | read == set(self.CHANGED)
 
     @pytest.mark.parametrize("key, value", list(CHANGED.items()) + [("objective.noise_sigma", -0.0)])
@@ -111,7 +112,8 @@ class TestObjectiveMemo:
     @pytest.mark.parametrize("kind, key, value", [("quadratic", "objective.alpha", 0.2),
                                                   ("quadratic", "objective.batch_size", 2),
                                                   ("least_squares", "objective.l2_reg", 0.02),
-                                                  ("logistic_l2", "objective.mu", 0.5)])
+                                                  ("logistic_l2", "objective.mu", 0.5),
+                                                  ("least_squares", "objective.partition_mode", "sorted_by_label")])
     def test_a_key_the_kind_does_not_read_keeps_the_held_object(self, kind, key, value):
         first = objective(**{"objective.kind": kind})
         assert objective(**{"objective.kind": kind, key: value}) is first

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from oracles import gossip_sgd_trajectory, node_average_trajectory
+from squarm import engine
 from squarm.compress import CompressorSpec, bit_cost, decode
 from squarm.config import KEYS, build_run_config, merged, seed_streams
 from squarm.engine import (
@@ -17,6 +19,7 @@ from squarm.engine import (
     run,
     summary_json,
     trigger_violations,
+    virtual_residual,
 )
 from squarm.errors import ConfigError, DivergenceError
 from squarm.node import encode_update, fired, make_state, should_trigger
@@ -24,7 +27,7 @@ from squarm.objective import optimum, quadratic_objective
 from squarm.presets import preset
 from squarm.schedule import LrSchedule, ThresholdSchedule, gamma_strong
 from squarm.topology import build_ring
-from squarm.verify import _identity_configs, identities
+from squarm.verify import VIRTUAL_RESIDUAL_TOL, _identity_configs, identities
 from traced import traced_run
 
 
@@ -262,6 +265,10 @@ class TestRunBasics:
         assert all(a <= b for a, b in zip(bits, bits[1:]))
 
 
+# the decaying-step-size config of the identities suite
+DECAYING = next(flat for flat in _identity_configs() if flat["lr.kind"] == "decaying")
+
+
 class TestIdentities:
     @pytest.mark.parametrize(
         "overrides",
@@ -275,11 +282,49 @@ class TestIdentities:
             {"compressor.kind": "qsgd", "compressor.s": 4, "H": 3, "beta": 0.5,
              "threshold.kind": "poly", "threshold.c0": 0.5, "threshold.epsilon": 0.5,
              "variant": "mem_efficient"},
+            {"compressor.kind": "top_k", "compressor.k": 3, "H": 5, "beta": 0.9,
+             "threshold.kind": "always", "lr.kind": "decaying", "lr.a": 20.0, "lr.b": 1.0},
         ],
     )
     def test_mean_preservation_and_virtual_residual(self, overrides):
-        cfg = quick_config(T=150, **overrides)
-        assert {name: m for name, m in identities(run(cfg)).items() if not m.ok} == {}
+        result = run(quick_config(T=150, **overrides))
+        assert {name: m for name, m in identities(result).items() if not m.ok} == {}
+        assert all(row.virtual_residual is not None for row in result.rows)
+
+    @pytest.mark.parametrize("diagnostics", [True, False])
+    def test_a_decaying_run_records_the_virtual_residual_with_diagnostics_on(self, diagnostics):
+        result = run(build_run_config(merged(DECAYING, {"diagnostics": diagnostics}))[0])
+        header, *lines = metrics_csv(result).splitlines()
+        column = header.split(",").index("virtual_residual")
+        cells = [line.split(",")[column] for line in lines]
+        worst = json.loads(summary_json(result))["diagnostics"]["max_virtual_residual"]
+        if diagnostics:
+            assert all(cells) and 0.0 < worst < VIRTUAL_RESIDUAL_TOL
+            assert max(map(float, cells)) == worst
+        else:
+            assert not any(cells) and worst == 0.0
+
+    def test_a_virtual_sequence_carried_across_a_changing_eta_breaks_the_bound(self, monkeypatch):
+        # negative control: taking the right side's xbar^t - c vbar^{t-1} at the
+        # previous step's eta, as carrying one virtual iterate from step to step
+        # does, is off by far more than the bound once eta decays
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return virtual_residual(*args)
+
+        monkeypatch.setattr(engine, "virtual_residual", recorded)
+        run(build_run_config(DECAYING)[0])
+        carried = 0.0
+        eta_before = calls[0][5]
+        for x_bar_prev, v_bar_prev, x_bar_new, v_bar_new, g_bar, eta, beta in calls:
+            c, c_before = (e * beta**2 / (1.0 - beta) for e in (eta, eta_before))
+            predicted = (x_bar_prev - c_before * v_bar_prev) - (eta / (1.0 - beta)) * g_bar
+            carried = max(carried, float(np.abs((x_bar_new - c * v_bar_new) - predicted).max()))
+            eta_before = eta
+        assert carried > VIRTUAL_RESIDUAL_TOL
+        assert max(virtual_residual(*args) for args in calls) < VIRTUAL_RESIDUAL_TOL
 
     def test_broken_matrix_breaks_mean_preservation(self):
         # negative control: damaging one node's weight row (which breaks the
@@ -453,6 +498,7 @@ def assert_matches_reference(cfg: RunConfig):
     # closed-form and array-reduced metrics against the per-node sums
     for a, b in zip(new.rows, old.rows):
         assert (a.weighted_avg_loss is None) == (b.weighted_avg_loss is None)
+        assert (a.virtual_residual is None) == (b.virtual_residual is None)
         for field in ("loss", "grad_norm_sq", "consensus", "weighted_avg_loss"):
             x, y = getattr(a, field), getattr(b, field)
             if y is not None:
