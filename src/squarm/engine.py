@@ -226,10 +226,7 @@ def run(cfg: RunConfig) -> RunResult:
 
     def metrics_row(t: int, grads: np.ndarray | None) -> MetricsRow:
         # grads: the shared-curvature product at the current X, when there is one
-        if grads is None:
-            loss, grad = obj_ops.loss(obj, x_bar), obj_ops.full_grad_global(obj, x_bar)
-        else:
-            loss, grad = obj_ops.loss_and_grad_at_mean(obj, x_bar, grads)
+        loss, grad = obj_ops.loss_and_grad_at_mean(obj, x_bar, grads)
         dev = X - x_bar
         return MetricsRow(
             t=t,

@@ -6,7 +6,7 @@ metrics and finite-difference checks), and an unbiased stochastic gradient
 per node.
 
 quadratic
-    f_i(x) = 0.5 x^T A x - b_i^T x + const_i with a shared curvature matrix A
+    f_i(x) = 0.5 x^T A x - b_i^T x with a shared curvature matrix A
     whose spectrum is set explicitly: L = lambda_max(A) and mu = lambda_min(A)
     are the construction values, exact to rounding of the built matrix (no
     eigendecomposition reads them back), and the global optimum solves
@@ -64,7 +64,6 @@ class ObjectiveSet:
     # quadratic
     quad_a: np.ndarray | None = None  # shared (d, d) curvature
     quad_b: np.ndarray | None = None  # (n, d) per-node linear terms
-    quad_const: np.ndarray | None = None  # (n,)
     # sample-based kinds
     feats: tuple[np.ndarray, ...] = field(default=())  # per node (m_i, d)
     labels: tuple[np.ndarray, ...] = field(default=())  # per node (m_i,)
@@ -86,7 +85,7 @@ class ObjectiveSet:
 
 def _local_loss(obj: ObjectiveSet, i: int, x: np.ndarray) -> float:
     if obj.kind == "quadratic":
-        return float(0.5 * x @ (obj.quad_a @ x) - obj.quad_b[i] @ x + obj.quad_const[i])
+        return float(0.5 * x @ (obj.quad_a @ x) - obj.quad_b[i] @ x)
     a, y = obj.feats[i], obj.labels[i]
     if obj.kind in ("least_squares", "least_squares_nonconvex"):
         r = a @ x - y
@@ -130,14 +129,14 @@ def local_grad(obj: ObjectiveSet, i: int, x: np.ndarray) -> np.ndarray:
 
 
 def _quad_loss(obj: ObjectiveSet, x: np.ndarray, ax: np.ndarray) -> float:
-    # 0.5 x^T A x - b_bar^T x + c_bar, given ax = A x
-    return float(0.5 * x @ ax - obj.quad_b.mean(axis=0) @ x + obj.quad_const.mean())
+    # 0.5 x^T A x - b_bar^T x, given ax = A x
+    return float(0.5 * x @ ax - obj.quad_b.mean(axis=0) @ x)
 
 
 def loss(obj: ObjectiveSet, x: np.ndarray) -> float:
     """Global objective f(x) = (1/n) sum_i f_i(x).
 
-    For the quadratic kind this is 0.5 x^T A x - b_bar^T x + c_bar, one
+    For the quadratic kind this is 0.5 x^T A x - b_bar^T x, one
     matrix-vector product instead of n."""
     if obj.kind == "quadratic":
         return _quad_loss(obj, x, obj.quad_a @ x)
@@ -145,10 +144,7 @@ def loss(obj: ObjectiveSet, x: np.ndarray) -> float:
 
 
 def full_grad_global(obj: ObjectiveSet, x: np.ndarray) -> np.ndarray:
-    """Exact (1/n) sum_i grad f_i(x), for the quadratic kind A x - b_bar;
-    metrics and checks only."""
-    if obj.kind == "quadratic":
-        return obj.quad_a @ x - obj.quad_b.mean(axis=0)
+    """Exact (1/n) sum_i grad f_i(x); metrics and checks only."""
     g = np.zeros(obj.d)
     for i in range(obj.n):
         g += local_grad(obj, i, x)
@@ -167,14 +163,15 @@ def shared_curvature_grads(obj: ObjectiveSet, X: np.ndarray) -> np.ndarray | Non
 
 
 def loss_and_grad_at_mean(
-    obj: ObjectiveSet, x_bar: np.ndarray, grads: np.ndarray
+    obj: ObjectiveSet, x_bar: np.ndarray, grads: np.ndarray | None
 ) -> tuple[float, np.ndarray]:
-    """(loss, full_grad_global) at the mean x_bar of X's rows, given
-    grads = shared_curvature_grads(obj, X), with no product of its own.
-
-    The mean of the rows is x_bar A - b_bar, which is the global gradient,
-    and A x_bar is that gradient plus b_bar. Either value may differ from
-    the plain calls' by rounding."""
+    """(loss, full_grad_global) at the mean x_bar of X's rows: the plain calls
+    when grads is None, else from grads = shared_curvature_grads(obj, X) with
+    no product of its own. The mean of the rows is x_bar A - b_bar, the
+    global gradient, and A x_bar is that gradient plus b_bar; either value
+    may differ from the plain calls' by rounding."""
+    if grads is None:
+        return loss(obj, x_bar), full_grad_global(obj, x_bar)
     grad = grads.mean(axis=0)
     return _quad_loss(obj, x_bar, grad + obj.quad_b.mean(axis=0)), grad
 
@@ -278,7 +275,6 @@ def quadratic_objective(
         noise_sigma=noise_sigma,
         quad_a=a,
         quad_b=b,
-        quad_const=np.zeros(n),
     )
 
 

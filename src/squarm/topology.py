@@ -96,13 +96,10 @@ def _validate(w: np.ndarray) -> MixingMatrix:
         raise TopologyError("weight matrix is not symmetric")
     if (w < 0).any():
         raise TopologyError("weight matrix has negative entries", "self_weights")
+    # w is symmetric, so a column sum is its row sum up to summation rounding
     row_dev = np.abs(w.sum(axis=1) - 1.0).max()
-    col_dev = np.abs(w.sum(axis=0) - 1.0).max()
-    if max(row_dev, col_dev) > STOCHASTIC_TOL:
-        raise TopologyError(
-            f"rows/columns must sum to 1 (max deviation {max(row_dev, col_dev):.3e})",
-            "self_weights",
-        )
+    if row_dev > STOCHASTIC_TOL:
+        raise TopologyError(f"rows/columns must sum to 1 (max deviation {row_dev:.3e})", "self_weights")
     adjacency = _adjacency(n, rows, cols)
     if not _connected(adjacency):
         raise TopologyError("communication graph is not connected", "edges")

@@ -22,6 +22,7 @@ from . import compress as comp
 from . import schedule as sched
 from .config import build_run_config, merged
 from .engine import RunResult, run
+from .errors import ParameterError
 from .topology import (
     MixingMatrix,
     build_complete,
@@ -147,8 +148,11 @@ def s_T_exact() -> bool:
 
 def identities(result: RunResult) -> dict[str, Measure]:
     """The identity bounds on a diagnostics run, the momentum bound only when
-    its gradients were clipped."""
+    its gradients were clipped; a run without diagnostics measured nothing
+    (its Diagnostics are zeros) and is refused."""
     diag, cfg = result.diagnostics, result.config
+    if not cfg.diagnostics:
+        raise ParameterError("diagnostics: the run measured no identity; set diagnostics to true")
     dev, res, count = diag.max_mean_dev, diag.max_virtual_residual, diag.trigger_violations
     out = {
         "mean preservation": Measure(dev, MEAN_DEV_TOL, dev < MEAN_DEV_TOL),

@@ -25,13 +25,11 @@ from traced import traced_run
 
 RING_DELTA = 1 - (1 / 3 + (2 / 3) * math.cos(math.pi / 4))
 
-# trigger-drift violations accumulated over every diagnostics run in this
-# module; criterion 8 asserts the total is zero
-_DRIFT_LEDGER: list[tuple[str, int]] = []
-
 
 def _record(name: str, result) -> None:
-    _DRIFT_LEDGER.append((name, result.diagnostics.trigger_violations))
+    """Every run a criterion makes keeps the trigger-drift budget."""
+    count = result.diagnostics.trigger_violations
+    assert count == 0, f"run {name}: {count} trigger-drift violations"
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -206,6 +204,15 @@ def test_criterion_07_memory_efficient_equivalence():
     assert _report(7, "memory-efficient equivalence", ok, f"max traj diff {worst:.2e}")
 
 
+def test_criterion_08_trigger_drift_bound():
+    counts = []
+    for flat in verify._identity_configs():
+        cfg, _ = build_run_config(flat)
+        counts.append(run(cfg).diagnostics.trigger_violations)
+    total = sum(counts)
+    assert _report(8, "trigger-drift bound", total == 0, f"{total} violations across {len(counts)} runs")
+
+
 def test_criterion_09_momentum_bound():
     bounds = []
     for beta in (0.5, 0.9):
@@ -378,10 +385,3 @@ def test_criterion_13_determinism():
 def test_criterion_14_closed_form_weight_sum():
     assert _report(14, "closed-form S_T", verify.s_T_exact(), "(a,T) in {1..5}x{1..50}")
 
-
-def test_criterion_08_trigger_drift_bound():
-    # runs last: audits every diagnostics run this module executed
-    total = sum(count for _, count in _DRIFT_LEDGER)
-    runs = len(_DRIFT_LEDGER)
-    ok = total == 0 and runs >= 8
-    assert _report(8, "trigger-drift bound", ok, f"{total} violations across {runs} runs")

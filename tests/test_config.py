@@ -28,7 +28,7 @@ def objective(**overrides):
 
 
 def arrays(obj):
-    quad = [a for a in (obj.quad_a, obj.quad_b, obj.quad_const) if a is not None]
+    quad = [a for a in (obj.quad_a, obj.quad_b) if a is not None]
     return [*quad, *obj.feats, *obj.labels]
 
 

@@ -81,7 +81,7 @@ class TestLocalStep:
         b[1, 0] = np.inf
         obj = ObjectiveSet(
             kind="quadratic", n=3, d=2, L=1.0, mu=1.0,
-            quad_a=np.eye(2), quad_b=b, quad_const=np.zeros(3),
+            quad_a=np.eye(2), quad_b=b,
         )
         cfg = RunConfig(
             topology=build_ring(3), objective=obj, compressor=CompressorSpec("identity"),

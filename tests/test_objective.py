@@ -24,11 +24,12 @@ from squarm.objective import (
 
 
 def mean_shift_quadratic(n, d, centers, noise_sigma=0.0):
-    """f_i(x) = 0.5 ||x - c_i||^2; x* is the mean of the centers, f* in closed form."""
+    """f_i(x) = 0.5 ||x - c_i||^2 - 0.5 ||c_i||^2; x* is the mean of the
+    centers, f* in closed form."""
     centers = np.asarray(centers, dtype=float).reshape(n, d)
     return ObjectiveSet(
         kind="quadratic", n=n, d=d, L=1.0, mu=1.0, noise_sigma=noise_sigma,
-        quad_a=np.eye(d), quad_b=centers.copy(), quad_const=0.5 * (centers**2).sum(axis=1),
+        quad_a=np.eye(d), quad_b=centers.copy(),
     )
 
 
@@ -178,7 +179,7 @@ class TestSharedCurvature:
         d = len(a)
         return ObjectiveSet(
             kind="quadratic", n=n, d=d, L=1.0, mu=1.0, noise_sigma=0.3,
-            quad_a=a, quad_b=rng.standard_normal((n, d)), quad_const=rng.standard_normal(n),
+            quad_a=a, quad_b=rng.standard_normal((n, d)),
         )
 
     @classmethod
@@ -252,16 +253,16 @@ class TestOptimum:
         obj = mean_shift_quadratic(3, 2, centers)
         x_star, f_star = optimum(obj)
         assert np.allclose(x_star, [1.0, 1.0], atol=1e-12)
-        assert f_star == pytest.approx(0.0, abs=1e-12)
+        # f(x*) = 0.5 ||x* - c||^2 - 0.5 ||c||^2 with ||c||^2 = 2
+        assert f_star == pytest.approx(-1.0, abs=1e-12)
 
     def test_two_node_opposed(self):
-        # f1 = (x-1)^2/2, f2 = (x+1)^2/2: x* = 0, f* = 1/2... with both
-        # halves averaged, f(0) = ((1/2) + (1/2)) / 2
+        # f1 = x^2/2 - x, f2 = x^2/2 + x: x* = 0, f* = f(0) = 0
         centers = np.array([[1.0], [-1.0]])
         obj = mean_shift_quadratic(2, 1, centers)
         x_star, f_star = optimum(obj)
         assert x_star[0] == pytest.approx(0.0, abs=1e-12)
-        assert f_star == pytest.approx(0.5, abs=1e-12)
+        assert f_star == pytest.approx(0.0, abs=1e-12)
 
     def test_grad_zero_at_optimum(self):
         rng = np.random.default_rng(6)
@@ -276,7 +277,7 @@ class TestOptimum:
     def test_singular_curvature_has_no_optimum(self):
         obj = ObjectiveSet(
             kind="quadratic", n=1, d=2, L=1.0, mu=0.0,
-            quad_a=np.zeros((2, 2)), quad_b=np.ones((1, 2)), quad_const=np.zeros(1),
+            quad_a=np.zeros((2, 2)), quad_b=np.ones((1, 2)),
         )
         with pytest.raises(ParameterError, match="curvature matrix is singular"):
             optimum(obj)
