@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import UNSET, Key, ParameterError, checked
 
 # each kind and the CompressorSpec counts it reads, in the order a config missing them is refused
 KINDS: dict[str, tuple[str, ...]] = {
@@ -44,6 +44,8 @@ KINDS: dict[str, tuple[str, ...]] = {
     "sign_top_k": ("k",),
     "qsgd_top_k": ("k", "s"),
 }
+# each count's rule, which config.KEYS gives compressor.<count>
+COUNT_RULES = {"k": Key(int, UNSET, "[1, inf)"), "s": Key(int, UNSET, "[1, inf)"), "value_bits": Key(int, 32, "[1, inf)")}
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,13 @@ class CompressorSpec:
     kind: str
     k: int | None = None
     s: int | None = None
-    value_bits: int = 32
+    value_bits: int = COUNT_RULES["value_bits"].default
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown compressor kind {self.kind!r}")
-        for name in KINDS[self.kind]:
-            if getattr(self, name) is None or getattr(self, name) < 1:
-                raise ParameterError(f"{self.kind} needs {name} >= 1")
-        if self.value_bits < 1:
-            raise ParameterError("value_bits must be >= 1")
+        for name in (*KINDS[self.kind], "value_bits"):
+            object.__setattr__(self, name, checked(name, getattr(self, name), COUNT_RULES[name]))
 
 
 @dataclass(frozen=True)

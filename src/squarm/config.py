@@ -4,10 +4,13 @@ Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
-choices. merged layers configs over its defaults and rejects keys not in it,
-and build_run_config starts from merged, so every caller gets both; _coerce
-checks each value against it. A value that does not fit is a ConfigError
-that starts with its key.
+choices. The lr, threshold and compressor count keys and four objective keys
+take theirs from the rule tables of schedule, compress and objective, which
+check their own fields with them. merged layers configs over its defaults and
+rejects keys not in it, and build_run_config starts from merged, so every
+caller gets both; _coerce checks each value against it with errors.checked.
+A value that does not fit is a ConfigError that starts with its key, where
+the library type refuses it with a ParameterError that starts with the field.
 RunConfig checks its plain fields against the same table and takes the
 defaults of those that have one from it, so a RunConfig built directly is
 refused with the same errors as a config file and defaults like one.
@@ -28,26 +31,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
 from . import objective as obj_ops
 from . import schedule as sched
-from .compress import KINDS, CompressorSpec, omega_of
-from .errors import ConfigError, DataError, TopologyError
+from .compress import COUNT_RULES, KINDS, CompressorSpec, omega_of
+from .errors import UNSET, ConfigError, DataError, Key, TopologyError, checked
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
-
-UNSET = None  # the default of keys that are absent unless set
-
-
-@dataclass(frozen=True)
-class Key:
-    type: type  # int, float, bool, str or list
-    default: object = UNSET
-    valid: str | tuple[str, ...] = ""  # an interval such as "(0, 1]", or the choices
-
 
 _POSITIVE, _NONNEGATIVE, _COUNT, _UNIT = "(0, inf)", "[0, inf)", "[1, inf)", "(0, 1]"
 
@@ -79,35 +72,29 @@ KEYS: dict[str, Key] = {
     "topology.self_weights": Key(list),
     "objective.kind": Key(str, "quadratic", tuple(READS["objective.kind"])),
     "objective.d": Key(int, 20, _COUNT),
-    "objective.noise_sigma": Key(float, 0.0, _NONNEGATIVE),
+    "objective.noise_sigma": obj_ops.ARG_RULES["noise_sigma"],
     "objective.mu": Key(float, 1.0, _POSITIVE),
     "objective.L": Key(float, 10.0, _POSITIVE),
     "objective.hetero_scale": Key(float, 1.0),
     "objective.samples_per_node": Key(int, 32, _COUNT),
-    "objective.batch_size": Key(int, 1, _COUNT),
-    "objective.alpha": Key(float, 0.1, _NONNEGATIVE),
-    "objective.l2_reg": Key(float, 0.01, _NONNEGATIVE),
+    "objective.batch_size": obj_ops.ARG_RULES["batch_size"],
+    "objective.alpha": obj_ops.ARG_RULES["alpha"],
+    "objective.l2_reg": obj_ops.ARG_RULES["l2_reg"],
     "objective.partition_mode": Key(str, "iid", ("iid", "sorted_by_label")),
     "objective.dataset_path": Key(str),
     "compressor.kind": Key(str, "identity", tuple(KINDS)),
-    "compressor.k": Key(int, UNSET, _COUNT),
+    "compressor.k": COUNT_RULES["k"],
     "compressor.k_frac": Key(float, UNSET, _UNIT),
-    "compressor.s": Key(int, UNSET, _COUNT),
-    "compressor.value_bits": Key(int, 32, _COUNT),
+    "compressor.s": COUNT_RULES["s"],
+    "compressor.value_bits": COUNT_RULES["value_bits"],
     "lr.kind": Key(str, "auto_constant", ("constant", "auto_constant", "decaying", "auto_decaying")),
-    "lr.eta": Key(float, UNSET, _POSITIVE),
-    "lr.b": Key(float, UNSET, _POSITIVE),
-    "lr.a": Key(float, UNSET, "[1, inf)"),
+    **{f"lr.{name}": rule for name, rule in sched.LR_RULES.items()},
     "lr.mu": Key(float, UNSET, _POSITIVE),
     "gamma.kind": Key(str, "explicit", ("explicit", "auto_relaxed", "auto_strong")),
     "gamma.value": Key(float, 1.0, _UNIT),
     "gamma.omega": Key(float, UNSET, _UNIT),
     "threshold.kind": Key(str, "always", tuple(sched.THRESHOLD_KINDS)),
-    "threshold.c0": Key(float, UNSET, _NONNEGATIVE),
-    "threshold.epsilon": Key(float, UNSET, _UNIT),
-    "threshold.init": Key(float, UNSET, _NONNEGATIVE),
-    "threshold.step": Key(float, UNSET, _NONNEGATIVE),
-    "threshold.period": Key(int, UNSET, _COUNT),
+    **{f"threshold.{name}": rule for name, rule in sched.THRESHOLD_RULES.items()},
     "H": Key(int, 1, _COUNT),
     "T": Key(int, 1000, _COUNT),
     "beta": Key(float, 0.0, "[0, 1)"),
@@ -145,58 +132,12 @@ def _coerce(key: str, value, spec: Key | None = None):
         if value in spec.valid:
             return value
         raise ConfigError(f"{key}: expected one of {', '.join(spec.valid)}, got {value!r}")
-    out = _as(spec.type, key, value)
-    if spec.valid and not _within(out, spec.valid):
-        raise ConfigError(f"{key}: must be in {spec.valid}, got {out!r}")
-    return out
-
-
-@cache
-def _interval(text: str) -> tuple[float, float, bool, bool]:
-    """"(0, 1]" as (0.0, 1.0, True, False): the bounds and whether each is open."""
-    lo, hi = text[1:-1].split(",")
-    return float(lo), float(hi), text[0] == "(", text[-1] == ")"
-
-
-def _within(value, interval: str) -> bool:
-    lo, hi, lo_open, hi_open = _interval(interval)
-    return (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
-
-
-def _as(kind: type, key: str, value):
-    """value as kind; a ConfigError naming the key if it is not one.
-
-    Integers accept integral floats and digit strings, numbers must be
-    within the float range, booleans accept true/false and 1/0, lists
-    accept lists."""
-    if kind in (str, list):
-        if isinstance(value, str if kind is str else (list, tuple)):
-            return value
-        raise _expected(kind, key, value)
-    if kind is bool:
-        if value in (0, 1) and not isinstance(value, str):
-            return bool(value)
-        raise _expected(kind, key, value)
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise _expected(kind, key, value)
-    try:
-        out = kind(value)
-        finite = math.isfinite(out)  # an int past the float range overflows here
-    except (TypeError, ValueError, OverflowError):
-        raise _expected(kind, key, value) from None
-    if not finite:
-        raise _expected(kind, key, value)
-    return out
-
-
-def _expected(kind: type, key: str, value) -> ConfigError:
-    """_as's error for a value that is not a kind; formatted only when it is
-    raised, since the repr of a long edge list costs more than the check."""
-    return ConfigError(f"{key}: expected {'a finite number' if kind is float else kind.__name__}, got {value!r}")
+    return checked(key, value, spec, ConfigError)
 
 
 # RunConfig's plain fields: the undotted keys, and gamma within gamma.value's range
 _FIELDS = {key: spec for key, spec in KEYS.items() if "." not in key} | {"gamma": KEYS["gamma.value"]}
+_INT, _FLOAT = Key(int), Key(float)  # an edge's ends and a weight, whose range build_custom checks
 
 
 @dataclass
@@ -241,7 +182,7 @@ def seed_streams(seed: int, n: int):
 def _as_edge(key: str, value) -> tuple[int, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{key}: expected [i, j] pairs, got {value!r}")
-    return _as(int, key, value[0]), _as(int, key, value[1])
+    return checked(key, value[0], _INT, ConfigError), checked(key, value[1], _INT, ConfigError)
 
 
 def _entries(flat: dict, key: str, convert) -> list:
@@ -293,7 +234,7 @@ def _new_topology(flat: dict) -> MixingMatrix:
             return build_ring(n, flat["topology.self_weight"])
         if kind == "complete":
             return build_complete(n)
-        as_float = partial(_as, float)
+        as_float = partial(checked, rule=_FLOAT, error=ConfigError)
         return build_custom(
             n,
             _entries(flat, "topology.edges", _as_edge),

@@ -50,7 +50,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, Key, ParameterError, checked
+
+# each builder argument's rule and a config's default for it, which config.KEYS gives
+# objective.<argument>; from_shards' own alpha and l2_reg default to 0, no regularizer
+ARG_RULES = {"noise_sigma": Key(float, 0.0, "[0, inf)"), "batch_size": Key(int, 1, "[1, inf)"),
+             "alpha": Key(float, 0.1, "[0, inf)"), "l2_reg": Key(float, 0.01, "[0, inf)")}
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,7 @@ def quadratic_objective(
     """Random quadratic with exact spectrum [mu, L] and heterogeneous b_i."""
     if not 0 < mu <= L:
         raise ParameterError("need 0 < mu <= L")
+    noise_sigma = checked("noise_sigma", noise_sigma, ARG_RULES["noise_sigma"])
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigs = np.linspace(mu, L, d)
     a = (q * eigs) @ q.T
@@ -315,6 +321,8 @@ def from_shards(
     l2_reg: float = 0.0,
 ) -> ObjectiveSet:
     """Build a sample-based objective from per-node data shards."""
+    batch_size, alpha, l2_reg = (checked(name, value, ARG_RULES[name])
+                                 for name, value in (("batch_size", batch_size), ("alpha", alpha), ("l2_reg", l2_reg)))
     if any(len(y) == 0 for y in labels):
         raise DataError("every node needs at least one sample")
     n = len(feats)

@@ -33,9 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import UNSET, Key, ParameterError, checked
 
 NEVER = math.inf  # sentinel threshold: the trigger test always fails
+
+# each lr kind and the LrSchedule fields it reads
+LR_KINDS: dict[str, tuple[str, ...]] = {"constant": ("eta",), "decaying": ("b", "a")}
+# each field's rule, which config.KEYS gives lr.<field>
+LR_RULES = {"eta": Key(float, UNSET, "(0, inf)"), "b": Key(float, UNSET, "(0, inf)"), "a": Key(float, UNSET, "[1, inf)")}
 
 
 @dataclass(frozen=True)
@@ -48,20 +53,10 @@ class LrSchedule:
     a: float | None = None
 
     def __post_init__(self):
-        for name in ("eta", "b", "a"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"lr {name} must be finite, got {value!r}")
-        if self.kind == "constant":
-            if self.eta is None or self.eta <= 0:
-                raise ParameterError("constant lr needs eta > 0")
-        elif self.kind == "decaying":
-            if self.b is None or self.b <= 0:
-                raise ParameterError("decaying lr needs b > 0")
-            if self.a is None or self.a < 1:
-                raise ParameterError("decaying lr needs a >= 1")
-        else:
+        if self.kind not in LR_KINDS:
             raise ParameterError(f"unknown lr kind {self.kind!r}")
+        for name in LR_KINDS[self.kind]:
+            object.__setattr__(self, name, checked(name, getattr(self, name), LR_RULES[name]))
 
 
 def eta_at(sched: LrSchedule, t: int) -> float:
@@ -79,6 +74,10 @@ THRESHOLD_KINDS: dict[str, tuple[str, ...]] = {
     "const_eta": ("c0", "epsilon"),
     "piecewise": ("init", "step", "period"),
 }
+# each field's rule, which config.KEYS gives threshold.<field>
+_LEVEL = Key(float, UNSET, "[0, inf)")  # c0 and the piecewise levels
+THRESHOLD_RULES = {"c0": _LEVEL, "epsilon": Key(float, UNSET, "(0, 1]"), "init": _LEVEL, "step": _LEVEL,
+                   "period": Key(int, UNSET, "[1, inf)")}
 
 
 @dataclass(frozen=True)
@@ -100,19 +99,10 @@ class ThresholdSchedule:
     period: int = 1
 
     def __post_init__(self):
-        fields = THRESHOLD_KINDS.get(self.kind)
-        if fields is None:
+        if self.kind not in THRESHOLD_KINDS:
             raise ParameterError(f"unknown threshold kind {self.kind!r}")
-        if "c0" in fields:
-            if self.c0 < 0:
-                raise ParameterError("threshold c0 must be >= 0")
-            if not 0.0 < self.epsilon <= 1.0:
-                raise ParameterError("threshold epsilon must be in (0, 1]")
-        if "period" in fields:
-            if self.init < 0 or self.step < 0:
-                raise ParameterError("piecewise threshold needs init, step >= 0")
-            if self.period < 1:
-                raise ParameterError("piecewise threshold needs period >= 1")
+        for name in THRESHOLD_KINDS[self.kind]:
+            object.__setattr__(self, name, checked(name, getattr(self, name), THRESHOLD_RULES[name]))
 
 
 def threshold_at(sched: ThresholdSchedule, t: int, eta_t: float) -> float:

@@ -32,6 +32,14 @@ def _record(name: str, result) -> None:
     assert count == 0, f"run {name}: {count} trigger-drift violations"
 
 
+def _measured(name: str, result) -> str:
+    """A run's identity measures and last-row consensus, for a report line;
+    criteria 11 and 12 print them and do not hold them (ROADMAP item 5(b))."""
+    diag = result.diagnostics
+    return (f"{name}: max_mean_dev {diag.max_mean_dev:.3g}, max_virtual_residual "
+            f"{diag.max_virtual_residual:.3g}, consensus {result.rows[-1].consensus:.3g}")
+
+
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
     print(f"criterion {num:2d} [{name}]: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
@@ -296,13 +304,14 @@ def _squarm_convex_flat(compressor: dict, T: int) -> dict:
 
 def test_criterion_11_strongly_convex_convergence():
     start = time.perf_counter()
-    vals = {}
+    vals, measured = {}, []
     for T in (5000, 20000):
         cfg, _ = build_run_config(
             _squarm_convex_flat({"compressor.kind": "top_k", "compressor.k": 2}, T)
         )
         result = run(cfg)
         _record(f"convex-{T}", result)
+        measured.append(_measured(f"convex-{T}", result))
         _, f_star = optimum(cfg.objective)
         vals[T] = loss(cfg.objective, result.x_avg) - f_star
     ratio = vals[20000] / vals[5000]
@@ -312,7 +321,8 @@ def test_criterion_11_strongly_convex_convergence():
         11,
         "strongly-convex convergence",
         ok,
-        f"f(x_avg)-f*: {vals[5000]:.3g} -> {vals[20000]:.3g}, ratio {ratio:.3f}, {elapsed:.0f}s",
+        f"f(x_avg)-f*: {vals[5000]:.3g} -> {vals[20000]:.3g}, ratio {ratio:.3f}, {elapsed:.0f}s; "
+        + "; ".join(measured),
     )
 
 
@@ -348,7 +358,7 @@ def test_criterion_12_communication_savings():
         f"({bits_d / hit.bits_cum:.0f}x saved), {elapsed:.0f}s"
         if hit
         else f"target never reached, {elapsed:.0f}s"
-    )
+    ) + f"; {_measured('savings-dpsgd', res_d)}; {_measured('savings-squarm', res_s)}"
     assert _report(12, "communication savings", ok, detail)
 
 

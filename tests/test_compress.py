@@ -279,11 +279,11 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: CompressorSpec("top_k"), "top_k needs k >= 1"),
-        (lambda: CompressorSpec("sign_top_k", k=0), "sign_top_k needs k >= 1"),
-        (lambda: CompressorSpec("qsgd"), "qsgd needs s >= 1"),
-        (lambda: CompressorSpec("qsgd_top_k", k=2, s=0), "qsgd_top_k needs s >= 1"),
-        (lambda: CompressorSpec("identity", value_bits=0), "value_bits must be >= 1"),
+        (lambda: CompressorSpec("top_k"), "^k: expected int, got None$"),
+        (lambda: CompressorSpec("sign_top_k", k=0), r"^k: must be in \[1, inf\), got 0$"),
+        (lambda: CompressorSpec("qsgd"), "^s: expected int, got None$"),
+        (lambda: CompressorSpec("qsgd_top_k", k=2, s=0), r"^s: must be in \[1, inf\), got 0$"),
+        (lambda: CompressorSpec("identity", value_bits=0), r"^value_bits: must be in \[1, inf\), got 0$"),
         (
             lambda: bit_cost(
                 CompressorSpec("identity"),

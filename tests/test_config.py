@@ -5,18 +5,23 @@ not in KEYS, as merged does. A config reuses the graph the previous one
 built while the node count, the graph's kind and the keys READS says that
 kind reads are unchanged, and the objective the previous one built while the
 seed, the node count, the objective's kind, its dimension and the keys that
-kind reads are unchanged; every config-built objective is read-only."""
+kind reads are unchanged; every config-built objective is read-only.
+A library type or builder refuses the value of a field whose rule it owns
+exactly as a config refuses it for the key that takes that rule."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
-from squarm import config
+from squarm import compress, config, objective as obj_ops, schedule
 from squarm.cli import main
+from squarm.compress import CompressorSpec
 from squarm.config import KEYS, READS, build_run_config, merged
 from squarm.engine import metrics_csv, run, summary_json
-from squarm.errors import ConfigError
+from squarm.errors import ConfigError, ParameterError
+from squarm.schedule import LrSchedule, ThresholdSchedule
 
 BASE = {"topology.n": 4, "objective.d": 6, "objective.samples_per_node": 5, "T": 10, "seed": 3}
 SAMPLE_KINDS = ("least_squares", "least_squares_nonconvex", "logistic_l2")
@@ -275,3 +280,60 @@ class TestReadOnly:
         write_dataset(data, 0)
         obj = objective(**{"objective.kind": "logistic_l2", "objective.dataset_path": str(data)})
         assert all(not a.flags.writeable for a in arrays(obj))
+
+
+def shards():
+    rng = np.random.default_rng(0)
+    return [rng.standard_normal((3, 2)) for _ in range(2)], [rng.standard_normal(3) for _ in range(2)]
+
+
+# each key whose rule a library module owns: that module, its rule table, and a
+# builder that passes the key's last part as a keyword to the type that reads it
+OWNED = {
+    "threshold.c0": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("poly", **kw)),
+    "threshold.epsilon": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("const_eta", **kw)),
+    "threshold.init": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "threshold.step": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "threshold.period": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "lr.eta": (schedule, "LR_RULES", lambda **kw: LrSchedule("constant", **kw)),
+    "lr.b": (schedule, "LR_RULES", lambda **kw: LrSchedule("decaying", **{"a": 2.0} | kw)),
+    "lr.a": (schedule, "LR_RULES", lambda **kw: LrSchedule("decaying", **{"b": 1.0} | kw)),
+    "compressor.k": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"s": 2} | kw)),
+    "compressor.s": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"k": 2} | kw)),
+    "compressor.value_bits": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("identity", **kw)),
+    "objective.noise_sigma": (obj_ops, "ARG_RULES",
+                              lambda **kw: obj_ops.quadratic_objective(2, 2, np.random.default_rng(0), **kw)),
+    "objective.batch_size": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("least_squares", *shards(), **kw)),
+    "objective.alpha": (obj_ops, "ARG_RULES",
+                        lambda **kw: obj_ops.from_shards("least_squares_nonconvex", *shards(), **kw)),
+    "objective.l2_reg": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("logistic_l2", *shards(), **kw)),
+}
+
+
+def outside(key):
+    """Values the rule of key refuses: nan, +-inf, the nearest value past each
+    finite bound, and for an int two values between integers in range."""
+    spec = KEYS[key]
+    lo, hi = (float(bound) for bound in spec.valid[1:-1].split(","))
+    past_lo = lo if spec.valid[0] == "(" else lo - 1 if spec.type is int else math.nextafter(lo, -math.inf)
+    values = [math.nan, math.inf, -math.inf, spec.type(past_lo)]
+    if math.isfinite(hi):
+        values.append(hi if spec.valid[-1] == ")" else math.nextafter(hi, math.inf))
+    return values + ([lo + 0.5, lo + 1.5] if spec.type is int else [])
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("key, value", [(key, value) for key in OWNED for value in outside(key)])
+    def test_a_library_type_refuses_what_a_config_refuses(self, key, value):
+        field = key.rsplit(".", 1)[1]
+        with pytest.raises(ParameterError) as library:
+            OWNED[key][2](**{field: value})
+        with pytest.raises(ConfigError) as configured:
+            build_run_config(merged(BASE, {key: value}))
+        assert str(library.value).startswith(f"{field}: ")
+        assert str(configured.value) == key + str(library.value)[len(field):]
+
+    @pytest.mark.parametrize("key", OWNED)
+    def test_the_key_takes_its_rule_from_the_owning_module(self, key):
+        module, table, _ = OWNED[key]
+        assert KEYS[key] is getattr(module, table)[key.rsplit(".", 1)[1]]

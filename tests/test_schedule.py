@@ -204,21 +204,21 @@ class TestScheduleTypes:
     @pytest.mark.parametrize(
         "build, match",
         [
-            (lambda: LrSchedule(kind="decaying", a=2.0), "decaying lr needs b > 0"),
-            (lambda: LrSchedule(kind="decaying", b=0.0, a=2.0), "decaying lr needs b > 0"),
+            (lambda: LrSchedule(kind="decaying", a=2.0), "^b: expected a finite number, got None$"),
+            (lambda: LrSchedule(kind="decaying", b=0.0, a=2.0), r"^b: must be in \(0, inf\), got 0.0$"),
             (lambda: LrSchedule(kind="cyclic", eta=0.1), "unknown lr kind 'cyclic'"),
             (lambda: ThresholdSchedule("sometimes"), "unknown threshold kind 'sometimes'"),
-            (lambda: ThresholdSchedule("const_eta", c0=-1.0), "threshold c0 must be >= 0"),
-            (lambda: ThresholdSchedule("piecewise", init=-1.0), r"piecewise threshold needs init, step >= 0"),
-            (lambda: ThresholdSchedule("piecewise", step=-1.0), r"piecewise threshold needs init, step >= 0"),
+            (lambda: ThresholdSchedule("const_eta", c0=-1.0), r"^c0: must be in \[0, inf\), got -1.0$"),
+            (lambda: ThresholdSchedule("piecewise", init=-1.0), r"^init: must be in \[0, inf\), got -1.0$"),
+            (lambda: ThresholdSchedule("piecewise", step=-1.0), r"^step: must be in \[0, inf\), got -1.0$"),
             (lambda: constant_lr(8, 0, 0.0), "T must be >= 1"),
             (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), "p must be > 0"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), "mu must be > 0"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"beta must be in \[0, 1\)"),
-            (lambda: LrSchedule(kind="constant", eta=math.inf), "lr eta must be finite, got inf"),
-            (lambda: LrSchedule(kind="constant", eta=math.nan), "lr eta must be finite, got nan"),
-            (lambda: LrSchedule(kind="decaying", b=math.inf, a=2.0), "lr b must be finite, got inf"),
-            (lambda: LrSchedule(kind="decaying", b=1.0, a=math.inf), "lr a must be finite, got inf"),
+            (lambda: LrSchedule(kind="constant", eta=math.inf), "^eta: expected a finite number, got inf$"),
+            (lambda: LrSchedule(kind="constant", eta=math.nan), "^eta: expected a finite number, got nan$"),
+            (lambda: LrSchedule(kind="decaying", b=math.inf, a=2.0), "^b: expected a finite number, got inf$"),
+            (lambda: LrSchedule(kind="decaying", b=1.0, a=math.inf), "^a: expected a finite number, got inf$"),
         ],
         ids=["b_unset", "b_zero", "lr_kind", "threshold_kind", "c0", "init", "step", "T", "p", "mu", "beta",
              "eta_inf", "eta_nan", "b_inf", "a_inf"],
