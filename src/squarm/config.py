@@ -4,16 +4,17 @@ Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
-choices. The lr, threshold and compressor count keys and four objective keys
-take theirs from the rule tables of schedule, compress and objective, which
-check their own fields with them. merged layers configs over its defaults and
-rejects keys not in it, and build_run_config starts from merged, so every
-caller gets both; _coerce checks each value against it with errors.checked.
-A value that does not fit is a ConfigError that starts with its key, where
-the library type refuses it with a ParameterError that starts with the field.
-RunConfig checks its plain fields against the same table and takes the
-defaults of those that have one from it, so a RunConfig built directly is
-refused with the same errors as a config file and defaults like one.
+choices. The lr, threshold and compressor count keys, gamma.omega and six
+objective keys take theirs from the rule tables of schedule, compress and
+objective, which check their own fields and arguments with them. merged
+layers configs over its defaults and rejects keys not in it, and
+build_run_config starts from merged, so every caller gets both; _coerce
+checks each value against it with errors.checked. A value that does not
+fit is a ConfigError that starts with its key, where the library type
+refuses it with a ParameterError that starts with the field. RunConfig
+checks its plain fields against the same table and takes the defaults of
+those that have one from it, so a RunConfig built directly is refused with
+the same errors as a config file and defaults like one.
 
 build_run_config keeps the last graph and the last objective it built and
 hands the same object to the next config with an equal key (_reused): the
@@ -73,8 +74,8 @@ KEYS: dict[str, Key] = {
     "objective.kind": Key(str, "quadratic", tuple(READS["objective.kind"])),
     "objective.d": Key(int, 20, _COUNT),
     "objective.noise_sigma": obj_ops.ARG_RULES["noise_sigma"],
-    "objective.mu": Key(float, 1.0, _POSITIVE),
-    "objective.L": Key(float, 10.0, _POSITIVE),
+    "objective.mu": obj_ops.ARG_RULES["mu"],
+    "objective.L": obj_ops.ARG_RULES["L"],
     "objective.hetero_scale": Key(float, 1.0),
     "objective.samples_per_node": Key(int, 32, _COUNT),
     "objective.batch_size": obj_ops.ARG_RULES["batch_size"],
@@ -89,10 +90,10 @@ KEYS: dict[str, Key] = {
     "compressor.value_bits": COUNT_RULES["value_bits"],
     "lr.kind": Key(str, "auto_constant", ("constant", "auto_constant", "decaying", "auto_decaying")),
     **{f"lr.{name}": rule for name, rule in sched.LR_RULES.items()},
-    "lr.mu": Key(float, UNSET, _POSITIVE),
+    "lr.mu": sched.ARG_RULES["mu"],
     "gamma.kind": Key(str, "explicit", ("explicit", "auto_relaxed", "auto_strong")),
     "gamma.value": Key(float, 1.0, _UNIT),
-    "gamma.omega": Key(float, UNSET, _UNIT),
+    "gamma.omega": sched.ARG_RULES["omega"],
     "threshold.kind": Key(str, "always", tuple(sched.THRESHOLD_KINDS)),
     **{f"threshold.{name}": rule for name, rule in sched.THRESHOLD_RULES.items()},
     "H": Key(int, 1, _COUNT),
@@ -249,12 +250,18 @@ def _new_topology(flat: dict) -> MixingMatrix:
 _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+# the (d, d) arrays quadratic_objective holds at once at its build's peak: the draw,
+# the two work copies of numpy's QR gufunc and Q
+_QUADRATIC_BUILD_MATRICES = 4
+
+
 def _fits(flat: dict, key: str, floats: int) -> None:
-    """A ConfigError naming key if the array of floats its value sizes is
-    larger than this machine's memory; checked before it is allocated."""
+    """A ConfigError naming key if the floats its value sizes, the arrays a
+    build holds at once, take more than this machine's memory; checked before
+    they are allocated."""
     if 8 * floats > _MEMORY_BYTES:
         raise ConfigError(
-            f"{key}: {flat[key]!r} is too large, it sizes an array of {8 * floats:.3g} bytes "
+            f"{key}: {flat[key]!r} is too large, the build it sizes holds {8 * floats:.3g} bytes at once "
             f"and this machine has {_MEMORY_BYTES:.3g}"
         )
 
@@ -298,9 +305,8 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
     n = flat["topology.n"]
     d = flat["objective.d"]
     path = flat["objective.dataset_path"]
-    if not path:
-        _fits(flat, "objective.d", d * d)  # the curvature matrix, or the smoothness estimate's
     if kind == "quadratic":
+        _fits(flat, "objective.d", _QUADRATIC_BUILD_MATRICES * d * d)
         mu, L = flat["objective.mu"], flat["objective.L"]
         if L < mu:
             raise ConfigError(f"objective.L: must be >= objective.mu={mu!r}, got {L!r}")
@@ -324,6 +330,7 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
         return obj
     samples = flat["objective.samples_per_node"]
     if not path:
+        _fits(flat, "objective.d", d * d)  # the smoothness estimate's Gram matrix
         _fits(flat, "objective.samples_per_node", n * samples * d)
     try:
         # numpy's note on an empty file and an overflow are the errors below

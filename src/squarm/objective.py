@@ -18,6 +18,11 @@ quadratic
     gradient from one product X A, each node's stochastic_grad call then
     only adds the node's noise, and loss_and_grad_at_mean takes a metrics
     row's loss and gradient at the node average from the same product.
+    Building A holds four (d, d) arrays at its peak, about 134 MB at
+    d = 2000: the drawn matrix, the two work copies of LAPACK's QR and Q.
+    quadratic_objective calls the two QR gufuncs np.linalg.qr itself calls
+    (numpy 2's names), so the draw is factored in place and neither
+    np.linalg.qr's copy of it nor its R is made; Q is bitwise the same.
 
 least_squares
     f_i(x) = 1/(2 m_i) sum_j (a_j^T x - y_j)^2 over node-local samples;
@@ -49,13 +54,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DataError, Key, ParameterError, checked
 
 # each builder argument's rule and a config's default for it, which config.KEYS gives
 # objective.<argument>; from_shards' own alpha and l2_reg default to 0, no regularizer
 ARG_RULES = {"noise_sigma": Key(float, 0.0, "[0, inf)"), "batch_size": Key(int, 1, "[1, inf)"),
-             "alpha": Key(float, 0.1, "[0, inf)"), "l2_reg": Key(float, 0.01, "[0, inf)")}
+             "alpha": Key(float, 0.1, "[0, inf)"), "l2_reg": Key(float, 0.01, "[0, inf)"),
+             "mu": Key(float, 1.0, "(0, inf)"), "L": Key(float, 10.0, "(0, inf)")}
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,22 @@ def clip_to_norm(g: np.ndarray, G: float) -> np.ndarray:
 # generators and data handling
 
 
+def _raise_qr_error(err, flag):
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Q of the QR factorization of a standard-normal (d, d) draw from rng,
+    bitwise np.linalg.qr's Q. The two LAPACK gufuncs that np.linalg.qr calls
+    factor the draw in place, under the error state it sets, so a LAPACK
+    failure raises LinAlgError; np.linalg.qr's copy of its input and its R
+    are never made. The draw is released on return."""
+    g = rng.standard_normal((d, d))
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(g, signature="d->d")
+        return _umath_linalg.qr_reduced(g, tau, signature="dd->d")
+
+
 def quadratic_objective(
     n: int,
     d: int,
@@ -263,13 +286,15 @@ def quadratic_objective(
     hetero_scale: float = 1.0,
 ) -> ObjectiveSet:
     """Random quadratic with exact spectrum [mu, L] and heterogeneous b_i."""
-    if not 0 < mu <= L:
-        raise ParameterError("need 0 < mu <= L")
-    noise_sigma = checked("noise_sigma", noise_sigma, ARG_RULES["noise_sigma"])
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    eigs = np.linspace(mu, L, d)
-    a = (q * eigs) @ q.T
-    a = (a + a.T) / 2.0
+    mu, L, noise_sigma = (checked(name, value, ARG_RULES[name])
+                          for name, value in (("mu", mu), ("L", L), ("noise_sigma", noise_sigma)))
+    if mu > L:
+        raise ParameterError(f"L: must be >= mu={mu!r}, got {L!r}")
+    q = _random_orthogonal(rng, d)
+    a = (q * np.linspace(mu, L, d)) @ q.T
+    del q
+    a += a.T  # numpy copies the overlapping a.T first: bitwise (a + a.T) / 2.0
+    a /= 2.0
     x_center = rng.standard_normal(d)
     b = a @ x_center + hetero_scale * rng.standard_normal((n, d))
     return ObjectiveSet(

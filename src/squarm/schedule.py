@@ -124,25 +124,27 @@ def constant_lr(n: int, T: int, beta: float) -> float:
     return (1.0 - beta) * math.sqrt(n / T)
 
 
+# each rule of a closed-form function's argument (lambda is lam), which config.KEYS
+# gives gamma.omega and lr.mu
+ARG_RULES = {"delta": Key(float, UNSET, "(0, 1]"), "omega": Key(float, UNSET, "(0, 1]"),
+             "lambda": Key(float, UNSET, "(0, 2]"), "p": Key(float, UNSET, "(0, inf)"),
+             "mu": Key(float, UNSET, "(0, inf)"), "beta": Key(float, UNSET, "[0, 1)")}
+
+
+def _checked_args(names: str, *values) -> tuple[float, ...]:
+    """values checked against the ARG_RULES of names, a space-separated list."""
+    return tuple(checked(name, value, ARG_RULES[name]) for name, value in zip(names.split(), values))
+
+
 def decaying_schedule(mu: float, beta: float, a: float) -> LrSchedule:
     """eta_t = 16 (1 - beta) / (mu (a + t)): LrSchedule's decaying kind with
     b = 16 (1 - beta) / mu."""
-    if mu <= 0:
-        raise ParameterError("mu must be > 0")
+    mu = checked("mu", mu, ARG_RULES["mu"])
     return LrSchedule(kind="decaying", b=16.0 * (1.0 - beta) / mu, a=a)
 
 
-def _check_ranges(delta: float, omega: float, lam: float) -> None:
-    if not 0.0 < delta <= 1.0:
-        raise ParameterError(f"delta must be in (0, 1], got {delta}")
-    if not 0.0 < omega <= 1.0:
-        raise ParameterError(f"omega must be in (0, 1], got {omega}")
-    if not 0.0 < lam <= 2.0:
-        raise ParameterError(f"lambda must be in (0, 2], got {lam}")
-
-
 def gamma_relaxed(delta: float, omega: float, lam: float) -> float:
-    _check_ranges(delta, omega, lam)
+    delta, omega, lam = _checked_args("delta omega lambda", delta, omega, lam)
     value = (2.0 * delta * omega**3) / (
         4.0 * delta**2 * omega**2 + delta**2 + 128.0 * lam**2 + 24.0 * omega**2 * lam**2
     )
@@ -150,7 +152,7 @@ def gamma_relaxed(delta: float, omega: float, lam: float) -> float:
 
 
 def gamma_strong(delta: float, omega: float, lam: float) -> float:
-    _check_ranges(delta, omega, lam)
+    delta, omega, lam = _checked_args("delta omega lambda", delta, omega, lam)
     # positive on the checked ranges: at least 64 delta - 16 delta omega >= 48 delta
     denom = 64.0 * delta + delta**2 + 16.0 * lam**2 + 8.0 * delta * lam**2 - 16.0 * delta * omega
     return (2.0 * delta * omega) / denom
@@ -171,12 +173,7 @@ def _squared(x: float) -> float:
 
 def min_a_strongly_convex(H: int, p: float, L: float, mu: float, beta: float) -> float:
     """Smallest admissible offset a for the decaying schedule."""
-    if p <= 0:
-        raise ParameterError("p must be > 0")
-    if mu <= 0:
-        raise ParameterError("mu must be > 0")
-    if not 0.0 <= beta < 1.0:
-        raise ParameterError("beta must be in [0, 1)")
+    p, mu, beta = _checked_args("p mu beta", p, mu, beta)
     return max(
         5.0 * H / p,
         128.0 * L / mu,

@@ -282,9 +282,41 @@ class TestReadOnly:
         assert all(not a.flags.writeable for a in arrays(obj))
 
 
+class TestMemoryGuard:
+    """A d is refused when the arrays its build holds at once outgrow the
+    machine's memory, here patched to a few (d, d) matrices; nothing is
+    allocated to find out."""
+
+    D = 20
+    MATRIX = 8 * D * D  # bytes
+
+    @pytest.mark.parametrize("matrices", [1, 2, 3, 4 - 1 / MATRIX])
+    def test_a_quadratic_needs_room_for_four_matrices(self, monkeypatch, matrices):
+        monkeypatch.setattr(config, "_MEMORY_BYTES", int(matrices * self.MATRIX))
+        with pytest.raises(ConfigError, match=f"^objective.d: {self.D} is too large, the build it sizes holds 1.28e"):
+            objective(**{"objective.d": self.D})
+        assert config._last_objective == {}
+
+    def test_four_matrices_hold_the_quadratic_build(self, monkeypatch):
+        monkeypatch.setattr(config, "_MEMORY_BYTES", 4 * self.MATRIX)
+        assert objective(**{"objective.d": self.D}).quad_a.shape == (self.D, self.D)
+
+    @pytest.mark.parametrize("kind", SAMPLE_KINDS)
+    def test_a_sample_based_kind_needs_room_for_one(self, monkeypatch, kind):
+        monkeypatch.setattr(config, "_MEMORY_BYTES", self.MATRIX - 1)
+        with pytest.raises(ConfigError, match=f"^objective.d: {self.D} is too large"):
+            objective(**{"objective.kind": kind, "objective.d": self.D})
+        monkeypatch.setattr(config, "_MEMORY_BYTES", self.MATRIX)
+        assert objective(**{"objective.kind": kind, "objective.d": self.D}).d == self.D
+
+
 def shards():
     rng = np.random.default_rng(0)
     return [rng.standard_normal((3, 2)) for _ in range(2)], [rng.standard_normal(3) for _ in range(2)]
+
+
+def quadratic(**kw):
+    return obj_ops.quadratic_objective(2, 2, np.random.default_rng(0), **kw)
 
 
 # each key whose rule a library module owns: that module, its rule table, and a
@@ -301,12 +333,15 @@ OWNED = {
     "compressor.k": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"s": 2} | kw)),
     "compressor.s": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"k": 2} | kw)),
     "compressor.value_bits": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("identity", **kw)),
-    "objective.noise_sigma": (obj_ops, "ARG_RULES",
-                              lambda **kw: obj_ops.quadratic_objective(2, 2, np.random.default_rng(0), **kw)),
+    "objective.noise_sigma": (obj_ops, "ARG_RULES", quadratic),
     "objective.batch_size": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("least_squares", *shards(), **kw)),
     "objective.alpha": (obj_ops, "ARG_RULES",
                         lambda **kw: obj_ops.from_shards("least_squares_nonconvex", *shards(), **kw)),
     "objective.l2_reg": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("logistic_l2", *shards(), **kw)),
+    "objective.mu": (obj_ops, "ARG_RULES", quadratic),
+    "objective.L": (obj_ops, "ARG_RULES", quadratic),
+    "gamma.omega": (schedule, "ARG_RULES", lambda **kw: schedule.gamma_strong(delta=0.5, lam=1.0, **kw)),
+    "lr.mu": (schedule, "ARG_RULES", lambda **kw: schedule.min_a_strongly_convex(1, 0.1, 10.0, beta=0.0, **kw)),
 }
 
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,24 @@ from squarm.objective import (
     stochastic_grads,
     synthetic_shards,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# `python -c BUILD_PEAK` prints how far quadratic_objective(2, 2000, ...) raises its
+# process's peak RSS (VmHWM) above the RSS before it, in (d, d) float matrices
+BUILD_PEAK = """
+import numpy as np
+from squarm.objective import quadratic_objective
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith(field)).split()[1])
+
+d = 2000
+rng = np.random.default_rng(0)
+before = kib("VmRSS:")
+quadratic_objective(2, d, rng)
+print((kib("VmHWM:") - before) * 1024 / (8 * d * d))
+"""
 
 
 def mean_shift_quadratic(n, d, centers, noise_sigma=0.0):
@@ -350,7 +372,7 @@ EMPTY_SHARD = ObjectiveSet(
         (
             lambda _: quadratic_objective(2, 3, np.random.default_rng(0), mu=2.0, L=1.0),
             ParameterError,
-            "need 0 < mu <= L",
+            r"^L: must be >= mu=2.0, got 1.0$",
         ),
         (
             lambda _: from_shards("bogus", [np.ones((2, 2))], [np.ones(2)]),
@@ -408,7 +430,7 @@ class TestQuadraticSetup:
             monkeypatch.setattr(np.linalg, name, refuse)
         quadratic_objective(3, 30, np.random.default_rng(0), mu=0.5, L=4.0)
 
-    @pytest.mark.parametrize("d", [20, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 200, 333])
     def test_matrix_is_the_spelled_out_construction(self, d):
         mu, L, n = 0.5, 4.0, 3
         obj = quadratic_objective(n, d, np.random.default_rng(7), mu=mu, L=L)
@@ -419,6 +441,15 @@ class TestQuadraticSetup:
         b = a @ rng.standard_normal(d) + rng.standard_normal((n, d))
         assert np.array_equal(obj.quad_a, a)
         assert np.array_equal(obj.quad_b, b)
+
+    def test_the_build_holds_fewer_than_five_matrices_at_once(self):
+        # in a child process, so that its peak is not this process's; the
+        # build peaks at the draw, the QR gufunc's two work copies and Q
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_PEAK], capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(SRC)}, check=True,
+        )
+        assert float(proc.stdout) < 4.8, proc.stdout
 
     def test_bounds_are_construction_values(self):
         mu, L = 0.25, 8.0

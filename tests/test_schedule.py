@@ -84,6 +84,15 @@ class TestGamma:
             with pytest.raises(ParameterError):
                 gamma_relaxed(*bad)
 
+    @pytest.mark.parametrize("formula", [gamma_strong, gamma_relaxed])
+    @pytest.mark.parametrize("position, name", [(0, "delta"), (1, "omega"), (2, "lambda")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_are_refused_by_name(self, formula, position, name, value):
+        args = [0.5, 0.5, 1.0]
+        args[position] = value
+        with pytest.raises(ParameterError, match=f"^{name}: expected a finite number, got {value!r}$"):
+            formula(*args)
+
     def test_random_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -129,6 +138,20 @@ class TestAdmissibility:
 
     def test_min_T_zero_L(self):
         assert min_T_nonconvex(0.0, 8, 0.5) == 0.0
+
+    @pytest.mark.parametrize("position, name", [(1, "p"), (3, "mu"), (4, "beta")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_min_a_refuses_non_finite_arguments_by_name(self, position, name, value):
+        args = [1, 0.1, 10.0, 1.0, 0.5]
+        args[position] = value
+        with pytest.raises(ParameterError, match=f"^{name}: expected a finite number, got {value!r}$"):
+            min_a_strongly_convex(*args)
+
+    def test_decaying_schedule_refuses_mu_by_name(self):
+        with pytest.raises(ParameterError, match=r"^mu: must be in \(0, inf\), got 0.0$"):
+            decaying_schedule(0.0, 0.0, 2.0)
+        with pytest.raises(ParameterError, match="^mu: expected a finite number, got nan$"):
+            decaying_schedule(math.nan, 0.0, 2.0)
 
     def test_squares_past_the_float_range_are_inf(self):
         # a float power raises OverflowError where a product would give inf
@@ -212,9 +235,9 @@ class TestScheduleTypes:
             (lambda: ThresholdSchedule("piecewise", init=-1.0), r"^init: must be in \[0, inf\), got -1.0$"),
             (lambda: ThresholdSchedule("piecewise", step=-1.0), r"^step: must be in \[0, inf\), got -1.0$"),
             (lambda: constant_lr(8, 0, 0.0), "T must be >= 1"),
-            (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), "p must be > 0"),
-            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), "mu must be > 0"),
-            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"beta must be in \[0, 1\)"),
+            (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), r"^p: must be in \(0, inf\), got 0.0$"),
+            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), r"^mu: must be in \(0, inf\), got 0.0$"),
+            (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"^beta: must be in \[0, 1\), got 1.0$"),
             (lambda: LrSchedule(kind="constant", eta=math.inf), "^eta: expected a finite number, got inf$"),
             (lambda: LrSchedule(kind="constant", eta=math.nan), "^eta: expected a finite number, got nan$"),
             (lambda: LrSchedule(kind="decaying", b=math.inf, a=2.0), "^b: expected a finite number, got inf$"),
