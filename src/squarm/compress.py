@@ -192,6 +192,9 @@ def omega_of(spec: CompressorSpec, d: int) -> float | None:
     return None  # scaled_sign, sign_top_k
 
 
+_TRIALS = Key(int, UNSET, "[100, inf)")  # estimate_contraction's draws
+
+
 def estimate_contraction(
     spec: CompressorSpec, d: int, trials: int, rng: np.random.Generator
 ) -> float:
@@ -200,8 +203,7 @@ def estimate_contraction(
     For kinds with formulaic omega the mean must come out <= (1 - omega)
     plus Monte-Carlo slack.
     """
-    if trials < 100:
-        raise ParameterError("trials must be >= 100")
+    trials = checked("trials", trials, _TRIALS)
     total = 0.0
     for _ in range(trials):
         x = rng.standard_normal(d)

@@ -4,17 +4,19 @@ Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
-choices. The lr, threshold and compressor count keys, gamma.omega and six
-objective keys take theirs from the rule tables of schedule, compress and
-objective, which check their own fields and arguments with them. merged
-layers configs over its defaults and rejects keys not in it, and
-build_run_config starts from merged, so every caller gets both; _coerce
-checks each value against it with errors.checked. A value that does not
-fit is a ConfigError that starts with its key, where the library type
-refuses it with a ParameterError that starts with the field. RunConfig
-checks its plain fields against the same table and takes the defaults of
-those that have one from it, so a RunConfig built directly is refused with
-the same errors as a config file and defaults like one.
+choices. The lr, threshold and compressor count keys, gamma.omega, lr.mu,
+topology.self_weight and six objective keys take theirs from the rule tables
+of schedule, compress, topology and objective, which check their own fields
+and arguments with them; build_custom alone checks the entries of the custom
+graph's three lists. merged layers configs over its defaults and rejects keys
+not in it, and build_run_config starts from merged, so every caller gets
+both; _coerce checks each value against it with errors.checked. A value that
+does not fit is a ConfigError that starts with its key, where the library
+type refuses it with a ParameterError (a graph builder with a TopologyError)
+that starts with the field. RunConfig checks its plain fields against the
+same table and takes the defaults of those that have one from it, so a
+RunConfig built directly is refused with the same errors as a config file
+and defaults like one.
 
 build_run_config keeps the last graph and the last objective it built and
 hands the same object to the next config with an equal key (_reused): the
@@ -32,13 +34,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
 from . import objective as obj_ops
 from . import schedule as sched
+from . import topology as topo_ops
 from .compress import COUNT_RULES, KINDS, CompressorSpec, omega_of
 from .errors import UNSET, ConfigError, DataError, Key, TopologyError, checked
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
@@ -67,7 +69,7 @@ _MISREAD = {"objective.dataset_path": "a sample-based", "objective.noise_sigma":
 KEYS: dict[str, Key] = {
     "topology.kind": Key(str, "ring", tuple(READS["topology.kind"])),
     "topology.n": Key(int, 8, _COUNT),
-    "topology.self_weight": Key(float, 1.0 / 3.0),
+    "topology.self_weight": topo_ops.ARG_RULES["self_weight"],
     "topology.edges": Key(list),
     "topology.edge_weights": Key(list),
     "topology.self_weights": Key(list),
@@ -138,7 +140,6 @@ def _coerce(key: str, value, spec: Key | None = None):
 
 # RunConfig's plain fields: the undotted keys, and gamma within gamma.value's range
 _FIELDS = {key: spec for key, spec in KEYS.items() if "." not in key} | {"gamma": KEYS["gamma.value"]}
-_INT, _FLOAT = Key(int), Key(float)  # an edge's ends and a weight, whose range build_custom checks
 
 
 @dataclass
@@ -178,18 +179,6 @@ def seed_streams(seed: int, n: int):
     data_ss, x0_ss, nodes_ss = root.spawn(3)
     node_rngs = [np.random.default_rng(s) for s in nodes_ss.spawn(n)]
     return np.random.default_rng(data_ss), np.random.default_rng(x0_ss), node_rngs
-
-
-def _as_edge(key: str, value) -> tuple[int, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{key}: expected [i, j] pairs, got {value!r}")
-    return checked(key, value[0], _INT, ConfigError), checked(key, value[1], _INT, ConfigError)
-
-
-def _entries(flat: dict, key: str, convert) -> list:
-    """The list at key, each entry passed through convert(key, entry); its
-    length is build_custom's to check."""
-    return [convert(key, entry) for entry in _require(flat, key)]
 
 
 def _require(flat: dict, key: str):
@@ -235,15 +224,10 @@ def _new_topology(flat: dict) -> MixingMatrix:
             return build_ring(n, flat["topology.self_weight"])
         if kind == "complete":
             return build_complete(n)
-        as_float = partial(checked, rule=_FLOAT, error=ConfigError)
-        return build_custom(
-            n,
-            _entries(flat, "topology.edges", _as_edge),
-            _entries(flat, "topology.edge_weights", as_float),
-            _entries(flat, "topology.self_weights", as_float),
-        )
-    except TopologyError as exc:  # exc.arg is the builder argument, named like its key
-        raise ConfigError(f"topology.{exc.arg}: {exc}") from None
+        lists = ("edges", "edge_weights", "self_weights")  # their entries are build_custom's to check
+        return build_custom(n, *(_require(flat, f"topology.{name}") for name in lists))
+    except TopologyError as exc:  # its message starts with the builder argument, named like its key
+        raise ConfigError(f"topology.{exc}") from None
 
 
 # the memory of this machine: an array larger than it cannot be allocated
@@ -406,6 +390,9 @@ def _resolve_lr(
             warnings.append(f"T={T} below the non-convex admissibility minimum{_shown(min_T, '.0f')}")
         return sched.LrSchedule(kind="constant", eta=eta)
     p = sched.p_of(gamma, topo.delta)
+    if p == 0.0:  # underflow
+        key = "gamma.value" if flat["gamma.kind"] == "explicit" else "gamma.omega"
+        raise ConfigError(f"{key}: gamma = {gamma!r} is too small, it gives p = gamma delta / 8 = 0")
     if kind == "decaying":
         lr = sched.LrSchedule(kind="decaying", b=_require(flat, "lr.b"), a=_require(flat, "lr.a"))
         if lr.a < 5 * H / p:  # auto_decaying warns against its a_min, which includes 5H/p

@@ -2,10 +2,10 @@
 caller can fix, and checked, the one check of a setting against its Key.
 
 Catch SquarmError for any failure the library reports. Below it, catch
-TopologyError to change the graph (its .arg names the builder argument),
-ParameterError to change a function argument, DataError to change the
-dataset, ConfigError to change a run configuration (its message starts with
-the key), and DivergenceError to change a run that blew up (its .partial holds
+TopologyError to change the graph, ParameterError to change a function
+argument (the message of each starts with the argument where there is one),
+DataError to change the dataset, ConfigError to change a run configuration
+(its message starts with the key), and DivergenceError to change a run that blew up (its .partial holds
 the outputs so far).
 """
 
@@ -20,16 +20,9 @@ class SquarmError(Exception):
 
 class TopologyError(SquarmError):
     """Invalid graph or mixing-matrix construction parameters: a bad node
-    count, edge, weight or self-weight; a weight matrix that is not symmetric,
-    has negative entries or rows/columns that do not sum to one; a
-    disconnected graph; a spectral gap that is not positive.
-
-    arg names the builder argument to change, where there is one.
-    """
-
-    def __init__(self, message, arg=None):
-        super().__init__(message)
-        self.arg = arg
+    count, edge, weight or self-weight; lists of unequal lengths; rows that
+    do not sum to one; a disconnected graph; a spectral gap that is not
+    positive. The message starts with the builder argument to change."""
 
 
 class ParameterError(SquarmError, ValueError):

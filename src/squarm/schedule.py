@@ -117,23 +117,24 @@ def threshold_at(sched: ThresholdSchedule, t: int, eta_t: float) -> float:
     return sched.init + sched.step * (t // sched.period)
 
 
-def constant_lr(n: int, T: int, beta: float) -> float:
-    """eta = (1 - beta) sqrt(n / T)."""
-    if T < 1:
-        raise ParameterError("T must be >= 1")
-    return (1.0 - beta) * math.sqrt(n / T)
-
-
 # each rule of a closed-form function's argument (lambda is lam), which config.KEYS
-# gives gamma.omega and lr.mu
+# gives gamma.omega and lr.mu; L is left unchecked, as an overflowed L = inf is
+# config's to report
 ARG_RULES = {"delta": Key(float, UNSET, "(0, 1]"), "omega": Key(float, UNSET, "(0, 1]"),
              "lambda": Key(float, UNSET, "(0, 2]"), "p": Key(float, UNSET, "(0, inf)"),
-             "mu": Key(float, UNSET, "(0, inf)"), "beta": Key(float, UNSET, "[0, 1)")}
+             "mu": Key(float, UNSET, "(0, inf)"), "beta": Key(float, UNSET, "[0, 1)"),
+             "n": Key(int, UNSET, "[1, inf)"), "T": Key(int, UNSET, "[1, inf)"), "H": Key(int, UNSET, "[0, inf)")}
 
 
-def _checked_args(names: str, *values) -> tuple[float, ...]:
+def _checked_args(names: str, *values) -> tuple:
     """values checked against the ARG_RULES of names, a space-separated list."""
     return tuple(checked(name, value, ARG_RULES[name]) for name, value in zip(names.split(), values))
+
+
+def constant_lr(n: int, T: int, beta: float) -> float:
+    """eta = (1 - beta) sqrt(n / T)."""
+    n, T, beta = _checked_args("n T beta", n, T, beta)
+    return (1.0 - beta) * math.sqrt(n / T)
 
 
 def decaying_schedule(mu: float, beta: float, a: float) -> LrSchedule:
@@ -173,7 +174,7 @@ def _squared(x: float) -> float:
 
 def min_a_strongly_convex(H: int, p: float, L: float, mu: float, beta: float) -> float:
     """Smallest admissible offset a for the decaying schedule."""
-    p, mu, beta = _checked_args("p mu beta", p, mu, beta)
+    H, p, mu, beta = _checked_args("H p mu beta", H, p, mu, beta)
     return max(
         5.0 * H / p,
         128.0 * L / mu,
@@ -183,6 +184,7 @@ def min_a_strongly_convex(H: int, p: float, L: float, mu: float, beta: float) ->
 
 def min_T_nonconvex(L: float, n: int, beta: float) -> float:
     """Smallest admissible T for the constant-lr non-convex guarantee."""
+    n, beta = _checked_args("n beta", n, beta)
     return max(16.0 * _squared(L) * n, 8.0 * _squared(L) * beta**4 * n / (1.0 - beta) ** 2)
 
 

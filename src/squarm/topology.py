@@ -14,15 +14,18 @@ this module assumes symmetry throughout and does not support asymmetric
 weights. A connected, aperiodic weighting gives delta in (0, 1] and
 lambda_dev in (0, 2].
 
-Rings and complete graphs are valid by construction: their builders fill w,
-list each node's neighbours from the indices they fill, and take both
-quantities in closed form from the graphs' known spectra. Only a custom
-graph, whose weights come from the user, pays for the full check (symmetry,
-sign, row and column sums, connectedness) and for the O(n^3) eigensolver
-(spectral_quantities, numpy's eigvalsh). The test suite holds the ring and
-complete builders to that check, and with `squarm verify` their closed forms
-to eigvalsh. Every builder checks the spectral gap, since rounding can make
-it exactly 0.
+Every builder checks its arguments against its rules (ARG_RULES and the
+private ones below) with errors.checked, and every TopologyError message
+starts with the argument to change. Rings and complete graphs are valid by
+construction: their builders fill w, list each node's neighbours from the
+indices they fill, and take both quantities in closed form from the graphs'
+known spectra. A custom graph's w is symmetric and nonnegative as
+build_custom fills it, from weights each checked finite and >= 0, with each
+edge's weight mirrored; only its row sums and connectedness are checked on w,
+and it pays for the O(n^3) eigensolver (spectral_quantities, numpy's
+eigvalsh). The test suite holds the ring and complete builders to that check,
+and with `squarm verify` their closed forms to eigvalsh. Every builder checks
+the spectral gap, since rounding can make it exactly 0.
 """
 
 from __future__ import annotations
@@ -32,9 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TopologyError
+from .errors import UNSET, Key, ParameterError, TopologyError, checked
 
 STOCHASTIC_TOL = 1e-10
+
+# each rule of a builder's argument, which config.KEYS gives topology.self_weight; a
+# weight is an entry of build_custom's edge_weights or self_weights
+ARG_RULES = {"self_weight": Key(float, 1.0 / 3.0, "(0, 1)"), "weight": Key(float, UNSET, "[0, inf)")}
+# n of a ring and of a complete or custom graph, an edge's end (build_custom checks its
+# range against n) and power_deviation's k
+_RING_N, _N, _END = Key(int, UNSET, "[3, inf)"), Key(int, UNSET, "[2, inf)"), Key(int)
+_POWER = Key(int, UNSET, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,7 @@ def power_deviation(w: np.ndarray, k: int) -> float:
     delta = 1 - |lambda_2|, which the test suite uses as a self-check of the
     spectral pipeline.
     """
-    if k < 0:
-        raise ParameterError("k must be >= 0")
+    k = checked("k", k, _POWER)
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     j = np.full((n, n), 1.0 / n)
@@ -86,23 +96,17 @@ def power_deviation(w: np.ndarray, k: int) -> float:
 
 
 def _validate(w: np.ndarray) -> MixingMatrix:
-    """A custom graph's w checked in full and frozen in place, with its
-    neighbour lists and eigvalsh's (delta, lambda_dev)."""
-    # the weights come from the user: the error args name build_custom's arguments
-    n = w.shape[0]
-    rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
-    # w = w^T where either entry is nonzero, hence everywhere; no strided pass over w.T
-    if not np.array_equal(w[rows, cols], w[cols, rows]):
-        raise TopologyError("weight matrix is not symmetric")
-    if (w < 0).any():
-        raise TopologyError("weight matrix has negative entries", "self_weights")
+    """A custom graph's w, symmetric and nonnegative as build_custom fills
+    it, checked for its row sums and connectedness and frozen in place, with
+    its neighbour lists and eigvalsh's (delta, lambda_dev)."""
     # w is symmetric, so a column sum is its row sum up to summation rounding
     row_dev = np.abs(w.sum(axis=1) - 1.0).max()
     if row_dev > STOCHASTIC_TOL:
-        raise TopologyError(f"rows/columns must sum to 1 (max deviation {row_dev:.3e})", "self_weights")
-    adjacency = _adjacency(n, rows, cols)
+        raise TopologyError(f"self_weights: rows/columns must sum to 1 (max deviation {row_dev:.3e})")
+    rows, cols = np.nonzero(w)  # row-major: rows ascending, columns ascending within a row
+    adjacency = _adjacency(w.shape[0], rows, cols)
     if not _connected(adjacency):
-        raise TopologyError("communication graph is not connected", "edges")
+        raise TopologyError("edges: communication graph is not connected")
     return _mixing(w, adjacency, spectral_quantities(w), "self_weights")
 
 
@@ -120,7 +124,7 @@ def _mixing(
     every builder checks it."""
     delta, lambda_dev = spectrum
     if delta <= 0:
-        raise TopologyError(f"spectral gap is not positive (delta={delta:.3e})", arg)
+        raise TopologyError(f"{arg}: spectral gap is not positive (delta={delta:.3e})")
     w.setflags(write=False)
     return MixingMatrix(n=w.shape[0], w=w, delta=delta, lambda_dev=lambda_dev, adjacency=adjacency)
 
@@ -156,7 +160,7 @@ def _ring_spectrum(n: int, self_weight: float) -> tuple[float, float]:
     return 1.0 - max(abs(second), abs(lowest)), 1.0 - lowest
 
 
-def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
+def build_ring(n: int, self_weight: float = ARG_RULES["self_weight"].default) -> MixingMatrix:
     """Ring of n nodes; each node keeps self_weight and splits the rest
     between its two ring neighbors.
 
@@ -165,10 +169,8 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
     are read from them (_ring_spectrum). Node i's neighbours are
     (i - 1) % n and (i + 1) % n, ascending.
     """
-    if n < 3:
-        raise TopologyError(f"ring needs n >= 3, got n={n}", "n")
-    if not 0.0 < self_weight < 1.0:
-        raise TopologyError(f"self_weight must be in (0, 1), got {self_weight}", "self_weight")
+    n = checked("n", n, _RING_N, TopologyError)
+    self_weight = checked("self_weight", self_weight, ARG_RULES["self_weight"], TopologyError)
     w = np.zeros((n, n))
     i = np.arange(n)
     left, right = (i - 1) % n, (i + 1) % n  # n >= 3: the two neighbours are distinct
@@ -183,8 +185,7 @@ def build_ring(n: int, self_weight: float = 1.0 / 3.0) -> MixingMatrix:
 def build_complete(n: int) -> MixingMatrix:
     """Complete graph with uniform weights 1/n; delta = lambda_dev = 1,
     since W = J has eigenvalues 1 and 0."""
-    if n < 2:
-        raise TopologyError(f"complete graph needs n >= 2, got n={n}", "n")
+    n = checked("n", n, _N, TopologyError)
     nodes = tuple(range(n))
     adjacency = tuple(nodes[:i] + nodes[i + 1 :] for i in range(n))
     return _mixing(np.full((n, n), 1.0 / n), adjacency, (1.0, 1.0), "n")
@@ -198,26 +199,35 @@ def build_custom(
 ) -> MixingMatrix:
     """Assemble a matrix from explicit per-edge and per-self weights and validate it.
 
-    An edge may be listed in one direction (the weight is mirrored) or in
-    both; listing both directions with different weights is a symmetry error.
+    An edge is an [i, j] pair of nodes, listed in one direction (the weight
+    is mirrored) or in both; listing both directions with different weights
+    is an error. Every edge is checked, then every edge weight, then every
+    self-weight, then the lengths of the lists.
     """
-    if n < 2:
-        raise TopologyError(f"custom graph needs n >= 2, got n={n}", "n")
+    n = checked("n", n, _N, TopologyError)
+    edges = [_edge(edge) for edge in edges]
+    edge_weights = [checked("edge_weights", weight, ARG_RULES["weight"], TopologyError) for weight in edge_weights]
+    self_weights = [checked("self_weights", weight, ARG_RULES["weight"], TopologyError) for weight in self_weights]
     if len(edges) != len(edge_weights):
-        raise TopologyError("edges and edge_weights must have equal length", "edge_weights")
+        raise TopologyError("edge_weights: edges and edge_weights must have equal length")
     if len(self_weights) != n:
-        raise TopologyError("self_weights must have one entry per node", "self_weights")
+        raise TopologyError("self_weights: self_weights must have one entry per node")
     w = np.zeros((n, n))
     seen: dict[tuple[int, int], float] = {}
     for (i, j), weight in zip(edges, edge_weights):
         if i == j or not (0 <= i < n and 0 <= j < n):
-            raise TopologyError(f"bad edge ({i}, {j})", "edges")
-        if weight < 0:
-            raise TopologyError(f"negative weight on edge ({i}, {j})", "edge_weights")
-        if (j, i) in seen and seen[(j, i)] != weight:
-            raise TopologyError(f"edge ({i}, {j}) and ({j}, {i}) given different weights", "edge_weights")
+            raise TopologyError(f"edges: bad edge ({i}, {j})")
+        if seen.get((j, i), weight) != weight:
+            raise TopologyError(f"edge_weights: edge ({i}, {j}) and ({j}, {i}) given different weights")
         seen[(i, j)] = weight
         w[i, j] = weight
         w[j, i] = weight
-    w[np.diag_indices(n)] = np.asarray(self_weights, dtype=float)
+    w[np.diag_indices(n)] = self_weights
     return _validate(w)
+
+
+def _edge(edge) -> tuple[int, int]:
+    """An entry of build_custom's edges as its two ends."""
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise TopologyError(f"edges: expected [i, j] pairs, got {edge!r}")
+    return checked("edges", edge[0], _END, TopologyError), checked("edges", edge[1], _END, TopologyError)

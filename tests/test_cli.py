@@ -355,6 +355,12 @@ class TestRun:
             ("objective.l2_reg", ["--lr.kind=auto_decaying", "--objective.kind=logistic_l2", "--objective.l2_reg=1e-310"]),
             ("lr.mu", ["--lr.kind=auto_decaying", "--objective.kind=least_squares", "--lr.mu=1e-310"]),
             ("lr.a", ["--lr.kind=auto_decaying", "--beta=0.9", "--objective.L=1e200", "--T=5"]),
+            # p = gamma delta / 8 underflows to 0: decaying's 5H/p and auto_decaying's p are named by gamma's key
+            ("gamma.value", ["--T=5", "--gamma.value=5e-324", "--lr.kind=decaying", "--lr.a=10", "--lr.b=1"]),
+            ("gamma.value", ["--T=5", "--gamma.value=5e-324", "--lr.kind=auto_decaying"]),
+            ("gamma.omega", ["--T=5", "--gamma.kind=auto_strong", "--gamma.omega=1e-320", "--lr.kind=auto_decaying"]),
+            # a key the kind does not read keeps its range check
+            ("topology.self_weight", ["--topology.kind=complete", "--topology.self_weight=1.5"]),
             # a sample-based kind's gradient noise is its minibatch: a noise scale set with it is refused, not ignored
             ("objective.noise_sigma", ["--objective.kind=least_squares", "--objective.noise_sigma=5", "--T=50",
                                        "--lr.kind=constant", "--lr.eta=0.01"]),

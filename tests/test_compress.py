@@ -208,8 +208,10 @@ class TestEstimateContraction:
         assert estimate_contraction(spec, d, 2000, rng) <= (1 - omega) + 0.02
 
     def test_rejects_few_trials(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^trials: must be in \[100, inf\), got 10$"):
             estimate_contraction(CompressorSpec("identity"), 4, 10, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="^trials: expected int, got 100.5$"):
+            estimate_contraction(CompressorSpec("identity"), 4, 100.5, np.random.default_rng(0))
 
 
 class TestBitCost:

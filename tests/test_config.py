@@ -15,12 +15,12 @@ import re
 import numpy as np
 import pytest
 
-from squarm import compress, config, objective as obj_ops, schedule
+from squarm import compress, config, objective as obj_ops, schedule, topology
 from squarm.cli import main
 from squarm.compress import CompressorSpec
 from squarm.config import KEYS, READS, build_run_config, merged
 from squarm.engine import metrics_csv, run, summary_json
-from squarm.errors import ConfigError, ParameterError
+from squarm.errors import ConfigError, ParameterError, TopologyError
 from squarm.schedule import LrSchedule, ThresholdSchedule
 
 BASE = {"topology.n": 4, "objective.d": 6, "objective.samples_per_node": 5, "T": 10, "seed": 3}
@@ -242,7 +242,8 @@ class TestTopologyMemo:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"topology.self_weight": 1.0}, "topology.self_weight: self_weight must be in (0, 1), got 1.0"),
+            # in range, but the even ring's gap rounds to 0: refused by the build, not by the key's rule
+            ({"topology.self_weight": 1e-17}, "topology.self_weight: spectral gap is not positive"),
             ({**CUSTOM, "topology.self_weights": [0.5, 0.5, 0.5, 0.4]}, "topology.self_weights: rows/columns"),
             ({"topology.n": 10**10}, "topology.n: 10000000000 is too large"),
         ],
@@ -342,6 +343,7 @@ OWNED = {
     "objective.L": (obj_ops, "ARG_RULES", quadratic),
     "gamma.omega": (schedule, "ARG_RULES", lambda **kw: schedule.gamma_strong(delta=0.5, lam=1.0, **kw)),
     "lr.mu": (schedule, "ARG_RULES", lambda **kw: schedule.min_a_strongly_convex(1, 0.1, 10.0, beta=0.0, **kw)),
+    "topology.self_weight": (topology, "ARG_RULES", lambda **kw: topology.build_ring(8, **kw)),
 }
 
 
@@ -361,7 +363,7 @@ class TestSharedRules:
     @pytest.mark.parametrize("key, value", [(key, value) for key in OWNED for value in outside(key)])
     def test_a_library_type_refuses_what_a_config_refuses(self, key, value):
         field = key.rsplit(".", 1)[1]
-        with pytest.raises(ParameterError) as library:
+        with pytest.raises(TopologyError if OWNED[key][0] is topology else ParameterError) as library:
             OWNED[key][2](**{field: value})
         with pytest.raises(ConfigError) as configured:
             build_run_config(merged(BASE, {key: value}))

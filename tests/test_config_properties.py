@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from squarm.cli import main
@@ -85,6 +85,9 @@ CONFIGS = st.builds(
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(CONFIGS)
+# gamma so small that p = gamma delta / 8 underflows to 0
+@example({"T": 5, "gamma.value": 5e-324, "lr.kind": "decaying", "lr.a": 10, "lr.b": 1})
+@example({"T": 5, "gamma.value": 5e-324, "lr.kind": "auto_decaying"})
 def test_any_config_resolves_or_raises_config_error(layer):
     try:
         build_run_config(merged(layer))

@@ -147,6 +147,28 @@ class TestAdmissibility:
         with pytest.raises(ParameterError, match=f"^{name}: expected a finite number, got {value!r}$"):
             min_a_strongly_convex(*args)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            # (1 - beta) sqrt(n / T) would be negative
+            (lambda: constant_lr(8, 100, 1.5), r"^beta: must be in \[0, 1\), got 1.5$"),
+            (lambda: constant_lr(8, 2.5, 0.0), "^T: expected int, got 2.5$"),
+            (lambda: constant_lr(0, 100, 0.0), r"^n: must be in \[1, inf\), got 0$"),
+            (lambda: constant_lr(8, 100, math.nan), "^beta: expected a finite number, got nan$"),
+            # (1 - beta)^2 = 0 in the momentum term's denominator
+            (lambda: min_T_nonconvex(1.0, 8, 1.0), r"^beta: must be in \[0, 1\), got 1.0$"),
+            (lambda: min_T_nonconvex(1.0, 0, 0.5), r"^n: must be in \[1, inf\), got 0$"),
+            (lambda: min_T_nonconvex(1.0, 8.5, 0.5), "^n: expected int, got 8.5$"),
+            (lambda: min_a_strongly_convex(-1, 0.1, 10.0, 1.0, 0.0), r"^H: must be in \[0, inf\), got -1$"),
+            (lambda: min_a_strongly_convex(1.5, 0.1, 10.0, 1.0, 0.0), "^H: expected int, got 1.5$"),
+        ],
+        ids=["constant_beta", "constant_T", "constant_n", "constant_beta_nan", "min_T_beta", "min_T_n",
+             "min_T_n_fraction", "min_a_H", "min_a_H_fraction"],
+    )
+    def test_counts_and_beta_are_refused_by_name(self, call, match):
+        with pytest.raises(ParameterError, match=match):
+            call()
+
     def test_decaying_schedule_refuses_mu_by_name(self):
         with pytest.raises(ParameterError, match=r"^mu: must be in \(0, inf\), got 0.0$"):
             decaying_schedule(0.0, 0.0, 2.0)
@@ -234,7 +256,7 @@ class TestScheduleTypes:
             (lambda: ThresholdSchedule("const_eta", c0=-1.0), r"^c0: must be in \[0, inf\), got -1.0$"),
             (lambda: ThresholdSchedule("piecewise", init=-1.0), r"^init: must be in \[0, inf\), got -1.0$"),
             (lambda: ThresholdSchedule("piecewise", step=-1.0), r"^step: must be in \[0, inf\), got -1.0$"),
-            (lambda: constant_lr(8, 0, 0.0), "T must be >= 1"),
+            (lambda: constant_lr(8, 0, 0.0), r"^T: must be in \[1, inf\), got 0$"),
             (lambda: min_a_strongly_convex(1, 0.0, 10.0, 1.0, 0.0), r"^p: must be in \(0, inf\), got 0.0$"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 0.0, 0.0), r"^mu: must be in \(0, inf\), got 0.0$"),
             (lambda: min_a_strongly_convex(1, 0.1, 10.0, 1.0, 1.0), r"^beta: must be in \[0, 1\), got 1.0$"),
