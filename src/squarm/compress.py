@@ -46,6 +46,7 @@ KINDS: dict[str, tuple[str, ...]] = {
 }
 # each count's rule, which config.KEYS gives compressor.<count>
 COUNT_RULES = {"k": Key(int, UNSET, "[1, inf)"), "s": Key(int, UNSET, "[1, inf)"), "value_bits": Key(int, 32, "[1, inf)")}
+KIND = Key(str, "identity", tuple(KINDS))  # CompressorSpec's kind, which config.KEYS gives compressor.kind
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,7 @@ class CompressorSpec:
     value_bits: int = COUNT_RULES["value_bits"].default
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown compressor kind {self.kind!r}")
-        for name in (*KINDS[self.kind], "value_bits"):
+        for name in (*KINDS[checked("kind", self.kind, KIND)], "value_bits"):
             object.__setattr__(self, name, checked(name, getattr(self, name), COUNT_RULES[name]))
 
 
@@ -82,9 +81,10 @@ class CompressedMessage:
     scale: float | None
 
 
-def _check_sparsifier(spec: CompressorSpec, d: int) -> int:
-    if spec.k > d:
-        raise ParameterError(f"k={spec.k} exceeds dimension d={d}")
+def _check_sparsifier(spec: CompressorSpec, d: int) -> int | None:
+    """spec.k, once it is at most d if spec's kind reads k: the one such check, which config calls too."""
+    if "k" in KINDS[spec.kind] and spec.k > d:
+        raise ParameterError(f"k: must be <= d={d}, got {spec.k}")
     return spec.k
 
 
@@ -177,17 +177,16 @@ def decode(message: CompressedMessage) -> np.ndarray:
 def omega_of(spec: CompressorSpec, d: int) -> float | None:
     """Formulaic contraction factor, or None for input-dependent kinds."""
     kind = spec.kind
+    k = _check_sparsifier(spec, d)
     if kind == "identity":
         return 1.0
     if kind in ("top_k", "rand_k"):
-        _check_sparsifier(spec, d)
-        return spec.k / d
+        return k / d
     if kind == "qsgd":
         beta = _beta_ds(d, spec.s)
         return 1.0 - beta if beta < 1.0 else None
     if kind == "qsgd_top_k":
         # E||x - C(x)||^2 <= (1 - k/(d (1+beta))) ||x||^2, so this is omega.
-        k = _check_sparsifier(spec, d)
         return k / (d * (1.0 + _beta_ds(k, spec.s)))
     return None  # scaled_sign, sign_top_k
 

@@ -4,19 +4,22 @@ Configs are flat JSON objects with dotted keys ("topology.kind": "ring").
 Every key can be overridden by a --key=value command-line flag; flags win.
 KEYS is the one description of every key: its type, its default (UNSET keys
 are absent unless set) and its valid values, an interval or a tuple of
-choices. The lr, threshold and compressor count keys, gamma.omega, lr.mu,
-topology.self_weight and six objective keys take theirs from the rule tables
-of schedule, compress, topology and objective, which check their own fields
-and arguments with them; build_custom alone checks the entries of the custom
-graph's three lists. merged layers configs over its defaults and rejects keys
-not in it, and build_run_config starts from merged, so every caller gets
-both; _coerce checks each value against it with errors.checked. A value that
-does not fit is a ConfigError that starts with its key, where the library
-type refuses it with a ParameterError (a graph builder with a TopologyError)
-that starts with the field. RunConfig checks its plain fields against the
-same table and takes the defaults of those that have one from it, so a
-RunConfig built directly is refused with the same errors as a config file
-and defaults like one.
+choices. The threshold and compressor keys but compressor.k_frac, the lr
+keys but lr.kind, gamma.omega, variant, topology.self_weight and seven
+objective keys take theirs from the rule tables of schedule, compress, node,
+topology and objective, which check their own fields and arguments with
+them; build_custom alone checks the entries of the custom graph's three
+lists. merged layers configs over its defaults and rejects keys not in it,
+and build_run_config starts from merged, so every caller gets both; _coerce
+checks each value against it with errors.checked. A value that does not fit
+is a ConfigError that starts with its key, where the library type refuses it
+with a ParameterError (a graph builder with a TopologyError) that starts
+with the field. A value refused against another (objective.L below
+objective.mu, compressor.k past the dimension) is refused by the build
+alone, and _forwarded puts the key group in front. RunConfig checks its
+plain fields against the same table and takes the defaults of those that
+have one from it, so a RunConfig built directly is refused with the same
+errors as a config file and defaults like one.
 
 build_run_config keeps the last graph and the last objective it built and
 hands the same object to the next config with an equal key (_reused): the
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from warnings import catch_warnings, simplefilter
 
@@ -41,8 +45,9 @@ import numpy as np
 from . import objective as obj_ops
 from . import schedule as sched
 from . import topology as topo_ops
-from .compress import COUNT_RULES, KINDS, CompressorSpec, omega_of
-from .errors import UNSET, ConfigError, DataError, Key, TopologyError, checked
+from .compress import COUNT_RULES, KIND, KINDS, CompressorSpec, _check_sparsifier, omega_of
+from .errors import UNSET, ConfigError, DataError, Key, ParameterError, SquarmError, TopologyError, checked
+from .node import VARIANT
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
 _POSITIVE, _NONNEGATIVE, _COUNT, _UNIT = "(0, inf)", "[0, inf)", "[1, inf)", "(0, 1]"
@@ -83,9 +88,9 @@ KEYS: dict[str, Key] = {
     "objective.batch_size": obj_ops.ARG_RULES["batch_size"],
     "objective.alpha": obj_ops.ARG_RULES["alpha"],
     "objective.l2_reg": obj_ops.ARG_RULES["l2_reg"],
-    "objective.partition_mode": Key(str, "iid", ("iid", "sorted_by_label")),
+    "objective.partition_mode": obj_ops.ARG_RULES["partition_mode"],
     "objective.dataset_path": Key(str),
-    "compressor.kind": Key(str, "identity", tuple(KINDS)),
+    "compressor.kind": KIND,
     "compressor.k": COUNT_RULES["k"],
     "compressor.k_frac": Key(float, UNSET, _UNIT),
     "compressor.s": COUNT_RULES["s"],
@@ -96,13 +101,12 @@ KEYS: dict[str, Key] = {
     "gamma.kind": Key(str, "explicit", ("explicit", "auto_relaxed", "auto_strong")),
     "gamma.value": Key(float, 1.0, _UNIT),
     "gamma.omega": sched.ARG_RULES["omega"],
-    "threshold.kind": Key(str, "always", tuple(sched.THRESHOLD_KINDS)),
     **{f"threshold.{name}": rule for name, rule in sched.THRESHOLD_RULES.items()},
     "H": Key(int, 1, _COUNT),
     "T": Key(int, 1000, _COUNT),
     "beta": Key(float, 0.0, "[0, 1)"),
     "seed": Key(int, 0, _NONNEGATIVE),
-    "variant": Key(str, "full_copy", ("full_copy", "mem_efficient")),
+    "variant": VARIANT,
     "accounting": Key(str, "broadcast", ("broadcast", "unicast")),
     "diagnostics": Key(bool, True),
     "parallel": Key(bool, False, "[0, 0]"),  # false only: runs are serial
@@ -110,11 +114,12 @@ KEYS: dict[str, Key] = {
     "eval_every": Key(int, UNSET, _COUNT),
     "grad_clip": Key(float, UNSET, _POSITIVE),
 }
+_DEFAULTS = {key: spec.default for key, spec in KEYS.items() if spec.default is not UNSET}  # merged's base
 
 
 def merged(*layers: dict) -> dict:
     """Apply config layers left to right (later layers win) over the defaults."""
-    out = {key: spec.default for key, spec in KEYS.items() if spec.default is not UNSET}
+    out = dict(_DEFAULTS)
     for layer in layers:
         for key, value in layer.items():
             if key not in KEYS:
@@ -123,19 +128,22 @@ def merged(*layers: dict) -> dict:
     return out
 
 
-def _coerce(key: str, value, spec: Key | None = None):
-    """value as spec (by default KEYS[key]) declares it: of its type and among
-    its valid values; a ConfigError naming the key if it is not.
-
+def _coerce(key: str, value, spec: Key):
+    """checked's value for key under spec, or its ConfigError naming the key;
     None (unset) is kept for keys without a default."""
-    spec = KEYS[key] if spec is None else spec
     if value is None and spec.default is UNSET:
         return None
-    if isinstance(spec.valid, tuple):
-        if value in spec.valid:
-            return value
-        raise ConfigError(f"{key}: expected one of {', '.join(spec.valid)}, got {value!r}")
     return checked(key, value, spec, ConfigError)
+
+
+@contextmanager
+def _forwarded(prefix: str, error: type[SquarmError] = ParameterError):
+    """An error raised within as a ConfigError, its message after prefix: the key group
+    ("topology.") where the message starts with the argument named like the key."""
+    try:
+        yield
+    except error as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 # RunConfig's plain fields: the undotted keys, and gamma within gamma.value's range
@@ -170,7 +178,7 @@ class RunConfig:
         for name, spec in _FIELDS.items():
             setattr(self, name, _coerce(name, getattr(self, name), spec))
         if self.objective.n != self.topology.n:
-            raise ConfigError("objective and topology disagree on node count")
+            raise ConfigError(f"objective: n={self.objective.n}, but topology has n={self.topology.n}")
 
 
 def seed_streams(seed: int, n: int):
@@ -219,15 +227,13 @@ def _new_topology(flat: dict) -> MixingMatrix:
     kind = flat["topology.kind"]
     n = flat["topology.n"]
     _fits(flat, "topology.n", n * n)  # the mixing matrix
-    try:
+    with _forwarded("topology.", TopologyError):
         if kind == "ring":
             return build_ring(n, flat["topology.self_weight"])
         if kind == "complete":
             return build_complete(n)
         lists = ("edges", "edge_weights", "self_weights")  # their entries are build_custom's to check
         return build_custom(n, *(_require(flat, f"topology.{name}") for name in lists))
-    except TopologyError as exc:  # its message starts with the builder argument, named like its key
-        raise ConfigError(f"topology.{exc}") from None
 
 
 # the memory of this machine: an array larger than it cannot be allocated
@@ -291,16 +297,13 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
     path = flat["objective.dataset_path"]
     if kind == "quadratic":
         _fits(flat, "objective.d", _QUADRATIC_BUILD_MATRICES * d * d)
-        mu, L = flat["objective.mu"], flat["objective.L"]
-        if L < mu:
-            raise ConfigError(f"objective.L: must be >= objective.mu={mu!r}, got {L!r}")
-        hetero_scale = flat["objective.hetero_scale"]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        L, hetero_scale = flat["objective.L"], flat["objective.hetero_scale"]
+        with _forwarded("objective."), np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
             obj = obj_ops.quadratic_objective(
                 n,
                 d,
                 rng,
-                mu=mu,
+                mu=flat["objective.mu"],
                 L=L,
                 noise_sigma=flat["objective.noise_sigma"],
                 hetero_scale=hetero_scale,
@@ -316,25 +319,23 @@ def _new_objective(flat: dict, rng: np.random.Generator) -> obj_ops.ObjectiveSet
     if not path:
         _fits(flat, "objective.d", d * d)  # the smoothness estimate's Gram matrix
         _fits(flat, "objective.samples_per_node", n * samples * d)
-    try:
-        # numpy's note on an empty file and an overflow are the errors below
-        with catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-            simplefilter("ignore", UserWarning)
-            if path:
-                features, targets = obj_ops.load_dataset(path)
-                if not (_finite(features) and _finite(targets)):
-                    raise DataError(f"{path} holds a value that is not finite")
-                shards = obj_ops.partition_heterogeneous(features, targets, n, flat["objective.partition_mode"], rng)
-            else:
-                shards = obj_ops.synthetic_shards(kind, n, d, samples, rng)
-            # a regularizer the kind does not read stays at 0, so the held objective is its key's
-            regularizers = {name: flat[f"objective.{name}"] for name in ("alpha", "l2_reg")
-                            if f"objective.{name}" in READS["objective.kind"][kind]}
-            obj = obj_ops.from_shards(kind, *shards, batch_size=flat["objective.batch_size"], **regularizers)
-            if path and not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
-                raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
-    except DataError as exc:  # only a dataset file raises it
-        raise ConfigError(f"objective.dataset_path: {exc}") from None
+    # only a dataset file raises a DataError; numpy's note on an empty file and an overflow are the errors below
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with _forwarded("objective.dataset_path: ", DataError), catch_warnings(), quiet:
+        simplefilter("ignore", UserWarning)
+        if path:
+            features, targets = obj_ops.load_dataset(path)
+            if not (_finite(features) and _finite(targets)):
+                raise DataError(f"{path} holds a value that is not finite")
+            shards = obj_ops.partition_heterogeneous(features, targets, n, flat["objective.partition_mode"], rng)
+        else:
+            shards = obj_ops.synthetic_shards(kind, n, d, samples, rng)
+        # a regularizer the kind does not read stays at 0, so the held objective is its key's
+        regularizers = {name: flat[f"objective.{name}"] for name in ("alpha", "l2_reg")
+                        if f"objective.{name}" in READS["objective.kind"][kind]}
+        obj = obj_ops.from_shards(kind, *shards, batch_size=flat["objective.batch_size"], **regularizers)
+        if path and not (math.isfinite(obj.L) and math.isfinite(obj_ops.loss(obj, np.zeros(obj.d)))):
+            raise DataError(f"{path} holds values so large that the loss or its smoothness L overflows")
     _fits(flat, "objective.batch_size", flat["objective.batch_size"] * obj.d)  # a gradient's minibatch
     return obj
 
@@ -345,9 +346,10 @@ def _build_compressor(flat: dict, d: int) -> CompressorSpec:
     if flat["compressor.k"] is None and flat["compressor.k_frac"] is not None:
         flat = flat | {"compressor.k": max(1, round(flat["compressor.k_frac"] * d))}
     counts = {name: _require(flat, f"compressor.{name}") for name in KINDS[kind]}
-    if counts.get("k", 0) > d:
-        raise ConfigError(f"compressor.k: k={counts['k']} exceeds dimension d={d}")
-    return CompressorSpec(kind=kind, value_bits=flat["compressor.value_bits"], **counts)
+    spec = CompressorSpec(kind=kind, value_bits=flat["compressor.value_bits"], **counts)
+    with _forwarded("compressor."):
+        _check_sparsifier(spec, d)
+    return spec
 
 
 def _resolve_gamma(flat: dict, topo: MixingMatrix, comp: CompressorSpec, d: int) -> float:
@@ -448,7 +450,7 @@ def build_run_config(flat: dict) -> tuple[RunConfig, list[str]]:
     """Resolve a flat config, layered over KEYS' defaults by merged (so a key
     not in KEYS is a ConfigError), into a RunConfig plus non-fatal warnings."""
     raw = merged(flat)
-    flat = {key: _coerce(key, raw.get(key)) for key in KEYS}
+    flat = {key: _coerce(key, raw.get(key), spec) for key, spec in KEYS.items()}
     warnings: list[str] = []
     topo = _build_topology(flat)
     obj = _build_objective(flat)

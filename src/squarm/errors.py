@@ -27,8 +27,8 @@ class TopologyError(SquarmError):
 
 class ParameterError(SquarmError, ValueError):
     """An argument a library function cannot work with: a value outside its
-    admissible range (checked's message for a field with a Key starts with
-    the field name) or an unknown kind; an input vector with non-finite
+    admissible range or choices (checked's message for a field with a Key
+    starts with the field name); an input vector with non-finite
     entries; a message that does not match the compressor spec or dimension
     it is priced under; a matrix the eigensolver fails on or one smaller
     than 2 x 2; a singular curvature matrix, which has no closed-form
@@ -72,14 +72,18 @@ class Key:
 
 
 def checked(name: str, value, rule: Key, error: type[SquarmError] = ParameterError):
-    """value as rule.type and within its interval rule.valid, if it has one;
-    an error (a ParameterError unless given) that starts with name if not.
+    """value as rule.type, within its interval or among its choices rule.valid
+    if it has one; an error (a ParameterError unless given) that starts with name if not.
 
     Integers accept integral floats and digit strings, numbers must be
     within the float range, booleans accept true/false and 1/0, lists
     accept lists."""
     kind = rule.type
     if kind in (str, list):
+        if isinstance(rule.valid, tuple):  # string choices, of which value must be one whatever its type
+            if value in rule.valid:
+                return value
+            raise error(f"{name}: expected one of {', '.join(rule.valid)}, got {value!r}")
         if isinstance(value, str if kind is str else (list, tuple)):
             return value
         raise _expected(kind, name, value, error)

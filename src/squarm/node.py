@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compress import CompressedMessage, CompressorSpec, compress
-from .errors import ParameterError
+from .errors import Key, checked
+
+VARIANT = Key(str, "full_copy", ("full_copy", "mem_efficient"))  # make_state's variant, which config.KEYS gives variant
 
 
 @dataclass
@@ -56,11 +58,8 @@ class NodeState:
 def make_state(x0: np.ndarray, variant: str) -> NodeState:
     """Fresh state with X = x0 (one row per node) and all communication state zeroed."""
     X = np.array(x0, dtype=float, copy=True)
-    if variant == "full_copy":
-        return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X))
-    if variant == "mem_efficient":
-        return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X), S=np.zeros_like(X))
-    raise ParameterError(f"unknown variant {variant!r}")
+    S = np.zeros_like(X) if checked("variant", variant, VARIANT) == "mem_efficient" else None
+    return NodeState(X=X, V=np.zeros_like(X), Hat=np.zeros_like(X), S=S)
 
 
 def local_step(state: NodeState, i: int, g: np.ndarray, eta: float, beta: float) -> None:

@@ -56,13 +56,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import DataError, Key, ParameterError, checked
+from .errors import UNSET, DataError, Key, ParameterError, checked
 
 # each builder argument's rule and a config's default for it, which config.KEYS gives
 # objective.<argument>; from_shards' own alpha and l2_reg default to 0, no regularizer
 ARG_RULES = {"noise_sigma": Key(float, 0.0, "[0, inf)"), "batch_size": Key(int, 1, "[1, inf)"),
              "alpha": Key(float, 0.1, "[0, inf)"), "l2_reg": Key(float, 0.01, "[0, inf)"),
-             "mu": Key(float, 1.0, "(0, inf)"), "L": Key(float, 10.0, "(0, inf)")}
+             "mu": Key(float, 1.0, "(0, inf)"), "L": Key(float, 10.0, "(0, inf)"),
+             "partition_mode": Key(str, "iid", ("iid", "sorted_by_label"))}
+_SAMPLE_KIND = Key(str, UNSET, ("least_squares", "least_squares_nonconvex", "logistic_l2"))  # from_shards' kinds
 
 
 @dataclass(frozen=True)
@@ -346,6 +348,7 @@ def from_shards(
     l2_reg: float = 0.0,
 ) -> ObjectiveSet:
     """Build a sample-based objective from per-node data shards."""
+    kind = checked("kind", kind, _SAMPLE_KIND)
     batch_size, alpha, l2_reg = (checked(name, value, ARG_RULES[name])
                                  for name, value in (("batch_size", batch_size), ("alpha", alpha), ("l2_reg", l2_reg)))
     if any(len(y) == 0 for y in labels):
@@ -358,14 +361,9 @@ def from_shards(
         labels_t = tuple(np.where(y > 0, 1.0, -1.0) for y in labels_t)
         L = _ls_smoothness(feats_t) / 4.0 + l2_reg
         mu = l2_reg
-    elif kind == "least_squares":
-        L = _ls_smoothness(feats_t)
+    else:  # the least-squares kinds
+        L = _ls_smoothness(feats_t) + (2.0 * alpha if kind == "least_squares_nonconvex" else 0.0)
         mu = 0.0
-    elif kind == "least_squares_nonconvex":
-        L = _ls_smoothness(feats_t) + 2.0 * alpha
-        mu = 0.0
-    else:
-        raise ParameterError(f"unknown sample-based kind {kind!r}")
     return ObjectiveSet(
         kind=kind,
         n=n,
@@ -384,28 +382,27 @@ def partition_heterogeneous(
     features: np.ndarray,
     targets: np.ndarray,
     n: int,
-    mode: str,
+    partition_mode: str,
     rng: np.random.Generator,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split a dataset into n disjoint shards.
+    """Split a dataset into n disjoint shards, as partition_mode says.
 
     iid shuffles then deals round-robin (shard sizes differ by at most one);
     sorted_by_label hands each node one contiguous label-sorted block, the
     standard way to make shards heterogeneous.
     """
+    iid = checked("partition_mode", partition_mode, ARG_RULES["partition_mode"]) == "iid"
     m = len(targets)
     if m == 0:
         raise DataError("dataset is empty")
     if n > m:
         raise DataError(f"cannot split {m} samples across {n} nodes")
-    if mode == "iid":
+    if iid:
         order = rng.permutation(m)
         idx_sets = [order[i::n] for i in range(n)]
-    elif mode == "sorted_by_label":
+    else:
         order = np.argsort(targets, kind="stable")
         idx_sets = np.array_split(order, n)
-    else:
-        raise ParameterError(f"unknown partition mode {mode!r}")
     return (
         [features[idx] for idx in idx_sets],
         [targets[idx] for idx in idx_sets],

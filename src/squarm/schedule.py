@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UNSET, Key, ParameterError, checked
+from .errors import UNSET, Key, checked
 
 NEVER = math.inf  # sentinel threshold: the trigger test always fails
 
@@ -41,6 +41,7 @@ NEVER = math.inf  # sentinel threshold: the trigger test always fails
 LR_KINDS: dict[str, tuple[str, ...]] = {"constant": ("eta",), "decaying": ("b", "a")}
 # each field's rule, which config.KEYS gives lr.<field>
 LR_RULES = {"eta": Key(float, UNSET, "(0, inf)"), "b": Key(float, UNSET, "(0, inf)"), "a": Key(float, UNSET, "[1, inf)")}
+_LR_KIND = Key(str, UNSET, tuple(LR_KINDS))  # config's lr.kind adds the auto kinds that resolve to these
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,7 @@ class LrSchedule:
     a: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LR_KINDS:
-            raise ParameterError(f"unknown lr kind {self.kind!r}")
-        for name in LR_KINDS[self.kind]:
+        for name in LR_KINDS[checked("kind", self.kind, _LR_KIND)]:
             object.__setattr__(self, name, checked(name, getattr(self, name), LR_RULES[name]))
 
 
@@ -74,9 +73,10 @@ THRESHOLD_KINDS: dict[str, tuple[str, ...]] = {
     "const_eta": ("c0", "epsilon"),
     "piecewise": ("init", "step", "period"),
 }
-# each field's rule, which config.KEYS gives threshold.<field>
+# the kind's and each field's rule, which config.KEYS gives threshold.<field>
 _LEVEL = Key(float, UNSET, "[0, inf)")  # c0 and the piecewise levels
-THRESHOLD_RULES = {"c0": _LEVEL, "epsilon": Key(float, UNSET, "(0, 1]"), "init": _LEVEL, "step": _LEVEL,
+THRESHOLD_RULES = {"kind": Key(str, "always", tuple(THRESHOLD_KINDS)), "c0": _LEVEL,
+                   "epsilon": Key(float, UNSET, "(0, 1]"), "init": _LEVEL, "step": _LEVEL,
                    "period": Key(int, UNSET, "[1, inf)")}
 
 
@@ -99,9 +99,7 @@ class ThresholdSchedule:
     period: int = 1
 
     def __post_init__(self):
-        if self.kind not in THRESHOLD_KINDS:
-            raise ParameterError(f"unknown threshold kind {self.kind!r}")
-        for name in THRESHOLD_KINDS[self.kind]:
+        for name in THRESHOLD_KINDS[checked("kind", self.kind, THRESHOLD_RULES["kind"])]:
             object.__setattr__(self, name, checked(name, getattr(self, name), THRESHOLD_RULES[name]))
 
 

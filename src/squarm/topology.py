@@ -200,9 +200,9 @@ def build_custom(
     """Assemble a matrix from explicit per-edge and per-self weights and validate it.
 
     An edge is an [i, j] pair of nodes, listed in one direction (the weight
-    is mirrored) or in both; listing both directions with different weights
-    is an error. Every edge is checked, then every edge weight, then every
-    self-weight, then the lengths of the lists.
+    is mirrored) or more than once; listing it again at another weight, in
+    either direction, is an error. Every edge is checked, then every edge
+    weight, then every self-weight, then the lengths of the lists.
     """
     n = checked("n", n, _N, TopologyError)
     edges = [_edge(edge) for edge in edges]
@@ -213,13 +213,13 @@ def build_custom(
     if len(self_weights) != n:
         raise TopologyError("self_weights: self_weights must have one entry per node")
     w = np.zeros((n, n))
-    seen: dict[tuple[int, int], float] = {}
+    first: dict[tuple[int, int], tuple[tuple[int, int], float]] = {}  # each pair's first listing and weight
     for (i, j), weight in zip(edges, edge_weights):
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise TopologyError(f"edges: bad edge ({i}, {j})")
-        if seen.get((j, i), weight) != weight:
-            raise TopologyError(f"edge_weights: edge ({i}, {j}) and ({j}, {i}) given different weights")
-        seen[(i, j)] = weight
+        listed, listed_weight = first.setdefault((min(i, j), max(i, j)), ((i, j), weight))
+        if listed_weight != weight:
+            raise TopologyError(f"edge_weights: edge ({i}, {j}) and {listed} given different weights")
         w[i, j] = weight
         w[j, i] = weight
     w[np.diag_indices(n)] = self_weights

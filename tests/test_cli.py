@@ -468,7 +468,7 @@ class TestRun:
 
     def test_a_k_past_d_is_refused_for_a_kind_that_reads_k(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path), "--T=3", "--compressor.kind=top_k", "--compressor.k=50"]) == 2
-        assert capsys.readouterr().err == "error: compressor.k: k=50 exceeds dimension d=20\n"
+        assert capsys.readouterr().err == "error: compressor.k: must be <= d=20, got 50\n"
 
     @pytest.mark.parametrize(
         "flag, message",

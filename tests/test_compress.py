@@ -274,7 +274,8 @@ def test_non_finite_rejected():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ParameterError):
+    kinds = "identity, top_k, rand_k, qsgd, scaled_sign, sign_top_k, qsgd_top_k"
+    with pytest.raises(ParameterError, match=f"^kind: expected one of {kinds}, got 'middle_k'$"):
         CompressorSpec("middle_k", k=3)
 
 

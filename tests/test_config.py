@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from squarm import compress, config, objective as obj_ops, schedule, topology
+from squarm import compress, config, node, objective as obj_ops, schedule, topology
 from squarm.cli import main
 from squarm.compress import CompressorSpec
 from squarm.config import KEYS, READS, build_run_config, merged
@@ -246,8 +246,12 @@ class TestTopologyMemo:
             ({"topology.self_weight": 1e-17}, "topology.self_weight: spectral gap is not positive"),
             ({**CUSTOM, "topology.self_weights": [0.5, 0.5, 0.5, 0.4]}, "topology.self_weights: rows/columns"),
             ({"topology.n": 10**10}, "topology.n: 10000000000 is too large"),
+            # rows that sum to 1 with either weight of the edge listed twice
+            ({**CUSTOM, "topology.n": 2, "topology.edges": [[0, 1], [0, 1]], "topology.edge_weights": [0.3, 0.5],
+              "topology.self_weights": [0.5, 0.5]},
+             "topology.edge_weights: edge (0, 1) and (0, 1) given different weights"),
         ],
-        ids=["ring", "custom", "oversized_n"],
+        ids=["ring", "custom", "oversized_n", "custom_edge_listed_twice"],
     )
     def test_a_refused_graph_leaves_nothing_held(self, overrides, message):
         graph()
@@ -320,57 +324,76 @@ def quadratic(**kw):
     return obj_ops.quadratic_objective(2, 2, np.random.default_rng(0), **kw)
 
 
-# each key whose rule a library module owns: that module, its rule table, and a
-# builder that passes the key's last part as a keyword to the type that reads it
+D = BASE["objective.d"]
+
+# each key whose rule a library module owns: that rule, a builder that passes the key's
+# last part as a keyword to the type that reads it, and the keys a config reads it only under
 OWNED = {
-    "threshold.c0": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("poly", **kw)),
-    "threshold.epsilon": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("const_eta", **kw)),
-    "threshold.init": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
-    "threshold.step": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
-    "threshold.period": (schedule, "THRESHOLD_RULES", lambda **kw: ThresholdSchedule("piecewise", **kw)),
-    "lr.eta": (schedule, "LR_RULES", lambda **kw: LrSchedule("constant", **kw)),
-    "lr.b": (schedule, "LR_RULES", lambda **kw: LrSchedule("decaying", **{"a": 2.0} | kw)),
-    "lr.a": (schedule, "LR_RULES", lambda **kw: LrSchedule("decaying", **{"b": 1.0} | kw)),
-    "compressor.k": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"s": 2} | kw)),
-    "compressor.s": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("qsgd_top_k", **{"k": 2} | kw)),
-    "compressor.value_bits": (compress, "COUNT_RULES", lambda **kw: CompressorSpec("identity", **kw)),
-    "objective.noise_sigma": (obj_ops, "ARG_RULES", quadratic),
-    "objective.batch_size": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("least_squares", *shards(), **kw)),
-    "objective.alpha": (obj_ops, "ARG_RULES",
+    "threshold.kind": (schedule.THRESHOLD_RULES["kind"], lambda **kw: ThresholdSchedule(**kw)),
+    "threshold.c0": (schedule.THRESHOLD_RULES["c0"], lambda **kw: ThresholdSchedule("poly", **kw)),
+    "threshold.epsilon": (schedule.THRESHOLD_RULES["epsilon"], lambda **kw: ThresholdSchedule("const_eta", **kw)),
+    "threshold.init": (schedule.THRESHOLD_RULES["init"], lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "threshold.step": (schedule.THRESHOLD_RULES["step"], lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "threshold.period": (schedule.THRESHOLD_RULES["period"], lambda **kw: ThresholdSchedule("piecewise", **kw)),
+    "lr.eta": (schedule.LR_RULES["eta"], lambda **kw: LrSchedule("constant", **kw)),
+    "lr.b": (schedule.LR_RULES["b"], lambda **kw: LrSchedule("decaying", **{"a": 2.0} | kw)),
+    "lr.a": (schedule.LR_RULES["a"], lambda **kw: LrSchedule("decaying", **{"b": 1.0} | kw)),
+    "compressor.kind": (compress.KIND, lambda **kw: CompressorSpec(**kw)),
+    # past d, the build's one check of k against the dimension refuses it, on a kind that reads k
+    "compressor.k": (compress.COUNT_RULES["k"],
+                     lambda **kw: compress._check_sparsifier(CompressorSpec("qsgd_top_k", **{"s": 2} | kw), D),
+                     {"compressor.kind": "qsgd_top_k", "compressor.s": 2}),
+    "compressor.s": (compress.COUNT_RULES["s"], lambda **kw: CompressorSpec("qsgd_top_k", **{"k": 2} | kw)),
+    "compressor.value_bits": (compress.COUNT_RULES["value_bits"], lambda **kw: CompressorSpec("identity", **kw)),
+    "variant": (node.VARIANT, lambda **kw: node.make_state(np.zeros((2, 2)), **kw)),
+    "objective.noise_sigma": (obj_ops.ARG_RULES["noise_sigma"], quadratic),
+    "objective.batch_size": (obj_ops.ARG_RULES["batch_size"],
+                             lambda **kw: obj_ops.from_shards("least_squares", *shards(), **kw)),
+    "objective.alpha": (obj_ops.ARG_RULES["alpha"],
                         lambda **kw: obj_ops.from_shards("least_squares_nonconvex", *shards(), **kw)),
-    "objective.l2_reg": (obj_ops, "ARG_RULES", lambda **kw: obj_ops.from_shards("logistic_l2", *shards(), **kw)),
-    "objective.mu": (obj_ops, "ARG_RULES", quadratic),
-    "objective.L": (obj_ops, "ARG_RULES", quadratic),
-    "gamma.omega": (schedule, "ARG_RULES", lambda **kw: schedule.gamma_strong(delta=0.5, lam=1.0, **kw)),
-    "lr.mu": (schedule, "ARG_RULES", lambda **kw: schedule.min_a_strongly_convex(1, 0.1, 10.0, beta=0.0, **kw)),
-    "topology.self_weight": (topology, "ARG_RULES", lambda **kw: topology.build_ring(8, **kw)),
+    "objective.l2_reg": (obj_ops.ARG_RULES["l2_reg"], lambda **kw: obj_ops.from_shards("logistic_l2", *shards(), **kw)),
+    "objective.partition_mode": (obj_ops.ARG_RULES["partition_mode"],
+                                 lambda **kw: obj_ops.partition_heterogeneous(np.zeros((4, 1)), np.zeros(4), 2,
+                                                                             rng=np.random.default_rng(0), **kw)),
+    "objective.mu": (obj_ops.ARG_RULES["mu"], quadratic),
+    # below mu, quadratic_objective's one check of L against mu refuses it
+    "objective.L": (obj_ops.ARG_RULES["L"], quadratic),
+    "gamma.omega": (schedule.ARG_RULES["omega"], lambda **kw: schedule.gamma_strong(delta=0.5, lam=1.0, **kw)),
+    "lr.mu": (schedule.ARG_RULES["mu"], lambda **kw: schedule.min_a_strongly_convex(1, 0.1, 10.0, beta=0.0, **kw)),
+    "topology.self_weight": (topology.ARG_RULES["self_weight"], lambda **kw: topology.build_ring(8, **kw)),
 }
+# values past a check against another key's value, where the other keeps its default
+CROSSED = {"objective.L": [math.nextafter(KEYS["objective.mu"].default, 0.0)], "compressor.k": [D + 1]}
 
 
 def outside(key):
-    """Values the rule of key refuses: nan, +-inf, the nearest value past each
-    finite bound, and for an int two values between integers in range."""
+    """Values the rule of key refuses: for choices, a value near them and
+    values of other types; for an interval, nan, +-inf, the nearest value
+    past each finite bound, and for an int two values between integers in
+    range; then the values past a check against another key, if any."""
     spec = KEYS[key]
+    if isinstance(spec.valid, tuple):
+        return [spec.valid[0].upper(), "", None, 0, True]
     lo, hi = (float(bound) for bound in spec.valid[1:-1].split(","))
     past_lo = lo if spec.valid[0] == "(" else lo - 1 if spec.type is int else math.nextafter(lo, -math.inf)
     values = [math.nan, math.inf, -math.inf, spec.type(past_lo)]
     if math.isfinite(hi):
         values.append(hi if spec.valid[-1] == ")" else math.nextafter(hi, math.inf))
-    return values + ([lo + 0.5, lo + 1.5] if spec.type is int else [])
+    return values + ([lo + 0.5, lo + 1.5] if spec.type is int else []) + CROSSED.get(key, [])
 
 
 class TestSharedRules:
     @pytest.mark.parametrize("key, value", [(key, value) for key in OWNED for value in outside(key)])
     def test_a_library_type_refuses_what_a_config_refuses(self, key, value):
-        field = key.rsplit(".", 1)[1]
-        with pytest.raises(TopologyError if OWNED[key][0] is topology else ParameterError) as library:
-            OWNED[key][2](**{field: value})
+        _, build, *reader = OWNED[key]
+        group, _, field = key.rpartition(".")
+        with pytest.raises(TopologyError if group == "topology" else ParameterError) as library:
+            build(**{field: value})
         with pytest.raises(ConfigError) as configured:
-            build_run_config(merged(BASE, {key: value}))
+            build_run_config(merged(BASE, *reader, {key: value}))
         assert str(library.value).startswith(f"{field}: ")
         assert str(configured.value) == key + str(library.value)[len(field):]
 
     @pytest.mark.parametrize("key", OWNED)
     def test_the_key_takes_its_rule_from_the_owning_module(self, key):
-        module, table, _ = OWNED[key]
-        assert KEYS[key] is getattr(module, table)[key.rsplit(".", 1)[1]]
+        assert KEYS[key] is OWNED[key][0]

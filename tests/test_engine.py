@@ -199,7 +199,7 @@ class TestRunBasics:
             assert str(err.value).startswith(f"{name}:"), (value, str(err.value))
 
     def test_direct_node_counts_must_agree(self):
-        with pytest.raises(ConfigError, match="objective and topology disagree on node count"):
+        with pytest.raises(ConfigError, match="^objective: n=8, but topology has n=5$"):
             dataclasses.replace(quick_config(T=5), topology=build_ring(5))
 
     def test_direct_fields_are_coerced_like_config_values(self):

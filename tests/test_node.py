@@ -25,7 +25,7 @@ def fresh(n=3, d=3, variant="full_copy", x0=None):
 
 
 def test_unknown_variant_is_a_parameter_error():
-    with pytest.raises(ParameterError, match="unknown variant 'bogus'"):
+    with pytest.raises(ParameterError, match="^variant: expected one of full_copy, mem_efficient, got 'bogus'$"):
         make_state(np.zeros((3, 2)), "bogus")
 
 

@@ -337,7 +337,7 @@ class TestPartition:
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^partition_mode: expected one of iid, sorted_by_label, got 'striped'$"):
             partition_heterogeneous(np.zeros((3, 1)), np.zeros(3), 2, "striped", rng)
 
 
@@ -377,7 +377,7 @@ EMPTY_SHARD = ObjectiveSet(
         (
             lambda _: from_shards("bogus", [np.ones((2, 2))], [np.ones(2)]),
             ParameterError,
-            "unknown sample-based kind 'bogus'",
+            "^kind: expected one of least_squares, least_squares_nonconvex, logistic_l2, got 'bogus'$",
         ),
         (
             lambda _: partition_heterogeneous(np.zeros((0, 2)), np.zeros(0), 2, "iid", np.random.default_rng(0)),

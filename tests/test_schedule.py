@@ -251,8 +251,11 @@ class TestScheduleTypes:
         [
             (lambda: LrSchedule(kind="decaying", a=2.0), "^b: expected a finite number, got None$"),
             (lambda: LrSchedule(kind="decaying", b=0.0, a=2.0), r"^b: must be in \(0, inf\), got 0.0$"),
-            (lambda: LrSchedule(kind="cyclic", eta=0.1), "unknown lr kind 'cyclic'"),
-            (lambda: ThresholdSchedule("sometimes"), "unknown threshold kind 'sometimes'"),
+            (lambda: LrSchedule(kind="cyclic", eta=0.1), "^kind: expected one of constant, decaying, got 'cyclic'$"),
+            (
+                lambda: ThresholdSchedule("sometimes"),
+                "^kind: expected one of always, never, poly, const_eta, piecewise, got 'sometimes'$",
+            ),
             (lambda: ThresholdSchedule("const_eta", c0=-1.0), r"^c0: must be in \[0, inf\), got -1.0$"),
             (lambda: ThresholdSchedule("piecewise", init=-1.0), r"^init: must be in \[0, inf\), got -1.0$"),
             (lambda: ThresholdSchedule("piecewise", step=-1.0), r"^step: must be in \[0, inf\), got -1.0$"),

@@ -160,6 +160,8 @@ class TestBuildCustom:
             ([(0, 1)], [0.5], [-math.inf, 0.5], "self_weights: expected a finite number, got -inf"),
             ([(0, 1)], [0.5], ["x", 0.5], "self_weights: expected a finite number, got 'x'"),
             ([(0, 1)], [0.5], [0.5, -0.5], "self_weights: must be in [0, inf), got -0.5"),
+            # a second listing, in the same direction, at another weight
+            ([(0, 1), (0, 1)], [0.3, 0.5], [0.5, 0.5], "edge_weights: edge (0, 1) and (0, 1) given different weights"),
             # every edge, then every edge weight, then every self-weight, then the lengths
             ([(0, 1, 2)], ["x"], ["x"], "edges: expected [i, j] pairs, got (0, 1, 2)"),
             ([(0, 1)], ["x"], ["x"], "edge_weights: expected a finite number, got 'x'"),
@@ -168,7 +170,7 @@ class TestBuildCustom:
         ],
         ids=["3-tuple", "1-tuple", "not_a_pair", "float_end", "bool_end", "string_end", "nan_edge_weight",
              "inf_edge_weight", "string_edge_weight", "negative_edge_weight", "nan_self_weight", "inf_self_weight",
-             "string_self_weight", "negative_self_weight", "edges_first", "edge_weights_second", "self_weights_third",
+             "string_self_weight", "negative_self_weight", "edge_listed_twice", "edges_first", "edge_weights_second", "self_weights_third",
              "lengths_last"],
     )
     def test_entries_are_checked_by_their_argument(self, edges, edge_weights, self_weights, message):
